@@ -8,8 +8,6 @@
  *   - design_flow_ms          cold DesignCache system-identification run
  *   - controller_ns_per_step  LqgServoController::step() on a dim-4 model
  *   - controller_steady_ns_per_step  same, unsaturated steady regime
- *   - bank_steps_per_sec      ControllerBank aggregate lane-steps/s
- *   - bank_speedup_vs_scalar  bank vs steady scalar, same run
  *   - sweep_wall_ms           wall-clock of the sweep
  *   - epochs_per_sec          controlled epochs per second across workers
  *   - peak_rss_mb             getrusage peak resident set
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "control/bank.hpp"
 #include "exec/design_cache.hpp"
 #include "exec/plant_factory.hpp"
 #include "telemetry/telemetry.hpp"
@@ -117,13 +114,6 @@ struct Metrics
     double telemetryOnMs = 0.0;   //!< A/B loop, trace armed.
     double telemetryOverheadPct = 0.0;
     double telemetryRssDeltaMb = 0.0; //!< Peak-RSS cost of arming.
-    double bankLanes = 0.0;           //!< ControllerBank fleet width.
-    double bankStepsPerSec = 0.0;     //!< Aggregate lane-steps/s.
-    double bankNsPerLaneStep = 0.0;
-    double bankSpeedupVsScalar = 0.0; //!< vs controller_ns_per_step.
-    double bankChecksum = 0.0;
-    double bankSaturatedNsPerLaneStep = 0.0; //!< Every step clipping.
-    double bankSaturatedChecksum = 0.0;
 };
 
 void
@@ -162,19 +152,6 @@ writeJson(std::FILE *f, const char *indent, const Metrics &m)
                  m.telemetryOverheadPct);
     std::fprintf(f, "%s\"telemetry_rss_delta_mb\": %.2f,\n", indent,
                  m.telemetryRssDeltaMb);
-    std::fprintf(f, "%s\"bank_lanes\": %.0f,\n", indent, m.bankLanes);
-    std::fprintf(f, "%s\"bank_steps_per_sec\": %.0f,\n", indent,
-                 m.bankStepsPerSec);
-    std::fprintf(f, "%s\"bank_ns_per_lane_step\": %.2f,\n", indent,
-                 m.bankNsPerLaneStep);
-    std::fprintf(f, "%s\"bank_speedup_vs_scalar\": %.2f,\n", indent,
-                 m.bankSpeedupVsScalar);
-    std::fprintf(f, "%s\"bank_checksum\": %.17g,\n", indent,
-                 m.bankChecksum);
-    std::fprintf(f, "%s\"bank_saturated_ns_per_lane_step\": %.2f,\n",
-                 indent, m.bankSaturatedNsPerLaneStep);
-    std::fprintf(f, "%s\"bank_saturated_checksum\": %.17g,\n", indent,
-                 m.bankSaturatedChecksum);
     std::fprintf(f, "%s\"peak_rss_mb\": %.2f\n", indent, m.peakRssMbVal);
 }
 
@@ -257,8 +234,7 @@ main(int argc, char **argv)
     //   - "steady": reference equal to the measurement with wide
     //     limits — zero tracking error, stable integrator, commands at
     //     an interior fixed point at any run length. This is the
-    //     regime a converged fleet spends its life in, and the scalar
-    //     side of the bank speedup ratio below.
+    //     regime a converged loop spends its life in.
     LqgWeights w;
     w.outputWeights = {10.0, 10000.0};
     w.inputWeights = {1000.0, 50.0};
@@ -308,9 +284,8 @@ main(int argc, char **argv)
                     "checksum %.17g)\n",
                     cur.controllerNsPerStep, micro_steps, sum);
 
-        // Min-of-3 repetitions: the speedup ratio below divides two
-        // measurements on a noisy single-core box, so each side takes
-        // its best of three to keep scheduler jitter out of the ratio.
+        // Min-of-3 repetitions, as above, to keep scheduler jitter
+        // out of the number.
         LqgServoController steady(model, w, wideLim);
         steady.setReference(steadyRef);
         for (size_t i = 0; i < 1000; ++i)
@@ -338,99 +313,6 @@ main(int argc, char **argv)
         std::printf("controller:    %10.1f ns/step steady (%zu steps, "
                     "checksum %.17g)\n",
                     cur.controllerSteadyNsPerStep, micro_steps, ssum);
-    }
-
-    // 2b. Batched fleet microloop: a ControllerBank of 4096 lanes of
-    // the same dim-4 design (one shared-gain group), stepped in
-    // lock-step for the same total lane-step count as the scalar
-    // microloop, at the *steady* operating point — the regime where
-    // the bank's fused two-pass fast path runs. bank_steps_per_sec is
-    // the aggregate throughput; the speedup divides it by the steady
-    // scalar loop's steps/s measured in the same run, so both sides of
-    // the ratio see the same machine state. The checksum sums every
-    // lane's first command, so a numerics change in the batched path
-    // moves a tracked number (every lane is bit-equal to the scalar
-    // controller — see tests/control/bank_equivalence_test).
-    {
-        telemetry::Span span("bank-microloop", "bench");
-        const size_t lanes = 4096;
-        ControllerBank bank;
-        for (size_t l = 0; l < lanes; ++l) {
-            bank.addLane(model, w, wideLim);
-            bank.setReference(l, steadyRef);
-            bank.setMeasurement(l, y);
-        }
-        for (size_t i = 0; i < 20; ++i)
-            bank.stepAll();
-        const size_t iters = 4 * micro_steps / lanes + 1;
-        // Min-of-3 to match the steady scalar loop (see above).
-        double best_ms = 0.0;
-        for (int rep = 0; rep < 3; ++rep) {
-            const double t0 = nowMs();
-            for (size_t i = 0; i < iters; ++i)
-                bank.stepAll();
-            const double el = nowMs() - t0;
-            if (rep == 0 || el < best_ms)
-                best_ms = el;
-        }
-        double sum = 0.0;
-        for (size_t l = 0; l < lanes; ++l)
-            sum += bank.command(l, 0);
-        const double lane_steps =
-            static_cast<double>(lanes) * static_cast<double>(iters);
-        cur.bankLanes = static_cast<double>(lanes);
-        cur.bankStepsPerSec = lane_steps / (best_ms / 1000.0);
-        cur.bankNsPerLaneStep = best_ms * 1e6 / lane_steps;
-        // The tracked ratio divides by the historical scalar loop
-        // (controller_ns_per_step, the 126 ns floor the bank set out
-        // to amortize); the steady-vs-steady ratio is printed next to
-        // it and derivable from the raw numbers in the JSON.
-        const double scalar_steps_per_sec =
-            1e9 / cur.controllerNsPerStep;
-        cur.bankSpeedupVsScalar =
-            cur.bankStepsPerSec / scalar_steps_per_sec;
-        cur.bankChecksum = sum;
-        std::printf("bank:          %10.1f ns/lane-step steady at N=%zu "
-                    "(%.2fM steps/s, %.1fx scalar, %.1fx steady scalar, "
-                    "checksum %.17g)\n",
-                    cur.bankNsPerLaneStep, lanes,
-                    cur.bankStepsPerSec / 1e6, cur.bankSpeedupVsScalar,
-                    cur.controllerSteadyNsPerStep /
-                        cur.bankNsPerLaneStep,
-                    sum);
-    }
-
-    // 2c. The same bank on the historical saturated workload (the
-    // pre-steady-split bank microloop, kept verbatim): every step
-    // clips, so the fused fast path bails to the generic masked-commit
-    // path — this row tracks the bank's worst-case regime, and its
-    // checksum extends the original bank_checksum series.
-    {
-        telemetry::Span span("bank-microloop-saturated", "bench");
-        const size_t lanes = 4096;
-        ControllerBank bank;
-        for (size_t l = 0; l < lanes; ++l) {
-            bank.addLane(model, w, satLim);
-            bank.setReference(l, satRef);
-            bank.setMeasurement(l, y);
-        }
-        for (size_t i = 0; i < 20; ++i)
-            bank.stepAll();
-        const size_t iters = 4 * micro_steps / lanes + 1;
-        const double t0 = nowMs();
-        for (size_t i = 0; i < iters; ++i)
-            bank.stepAll();
-        const double t1 = nowMs();
-        double sum = 0.0;
-        for (size_t l = 0; l < lanes; ++l)
-            sum += bank.command(l, 0);
-        const double lane_steps =
-            static_cast<double>(lanes) * static_cast<double>(iters);
-        cur.bankSaturatedNsPerLaneStep = (t1 - t0) * 1e6 / lane_steps;
-        cur.bankSaturatedChecksum = sum;
-        std::printf("bank:          %10.1f ns/lane-step saturated at "
-                    "N=%zu (checksum %.17g)\n",
-                    cur.bankSaturatedNsPerLaneStep, lanes, sum);
     }
 
     // 3. The fig09-style sweep: MIMO + optimizer, one job per app.
@@ -616,20 +498,9 @@ main(int argc, char **argv)
                 findNumber(text, "telemetry_overhead_pct");
             base.telemetryRssDeltaMb =
                 findNumber(text, "telemetry_rss_delta_mb");
-            base.bankLanes = findNumber(text, "bank_lanes");
-            base.bankStepsPerSec =
-                findNumber(text, "bank_steps_per_sec");
-            base.bankNsPerLaneStep =
-                findNumber(text, "bank_ns_per_lane_step");
-            base.bankSpeedupVsScalar =
-                findNumber(text, "bank_speedup_vs_scalar");
-            base.bankChecksum = findNumber(text, "bank_checksum");
-            base.bankSaturatedNsPerLaneStep =
-                findNumber(text, "bank_saturated_ns_per_lane_step");
-            base.bankSaturatedChecksum =
-                findNumber(text, "bank_saturated_checksum");
-            // Baselines written before the telemetry A/B or bank
-            // blocks lack the fields; zero keeps the JSON valid.
+            // Baselines written before the telemetry A/B, steady or
+            // analytic blocks lack the fields; zero keeps the JSON
+            // valid.
             for (double *v :
                  {&base.telemetryOffMs, &base.telemetryOnMs,
                   &base.telemetryOverheadPct, &base.telemetryRssDeltaMb,
@@ -638,11 +509,7 @@ main(int argc, char **argv)
                   &base.analyticCalibrationMs, &base.analyticSweepWallMs,
                   &base.analyticEpochsPerSec,
                   &base.analyticSpeedupVsCycle,
-                  &base.analyticSweepChecksum, &base.bankLanes,
-                  &base.bankStepsPerSec, &base.bankNsPerLaneStep,
-                  &base.bankSpeedupVsScalar, &base.bankChecksum,
-                  &base.bankSaturatedNsPerLaneStep,
-                  &base.bankSaturatedChecksum})
+                  &base.analyticSweepChecksum})
                 if (!std::isfinite(*v))
                     *v = 0.0;
             have_baseline = std::isfinite(base.controllerNsPerStep);

@@ -102,7 +102,7 @@ class ChipInstance
 
     size_t numCores() const { return cores_.size(); }
 
-    /** Core @p i's per-epoch trace (when driver.recordTrace). */
+    /** Core @p i's per-epoch trace. */
     const EpochTrace &coreTrace(size_t i) const;
 
     /** Applied arbitration rounds, in epoch order. */

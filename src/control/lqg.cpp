@@ -185,29 +185,22 @@ LqgServoController::allocWorkspace()
 }
 
 void
-computeServoTargets(const StateSpaceModel &model, const Matrix &y0_scaled,
-                    Matrix &x_ss, Matrix &u_ss)
-{
-    // Solve [A-I B; C D] [x_ss; u_ss] = [0; y0] in least squares.
-    const size_t n = model.stateDim();
-    const size_t m = model.numInputs();
-    const size_t p = model.numOutputs();
-    Matrix lhs(n + p, n + m);
-    lhs.setBlock(0, 0, model.a - Matrix::identity(n));
-    lhs.setBlock(0, n, model.b);
-    lhs.setBlock(n, 0, model.c);
-    lhs.setBlock(n, n, model.d);
-    Matrix rhs(n + p, 1);
-    rhs.setBlock(n, 0, y0_scaled);
-    const Matrix sol = solveRidge(lhs, rhs, 1e-9);
-    x_ss = sol.block(0, 0, n, 1);
-    u_ss = sol.block(n, 0, m, 1);
-}
-
-void
 LqgServoController::computeTargets()
 {
-    computeServoTargets(model_, y0Scaled_, xSs_, uSs_);
+    // Solve [A-I B; C D] [x_ss; u_ss] = [0; y0] in ridge least squares.
+    const size_t n = model_.stateDim();
+    const size_t m = model_.numInputs();
+    const size_t p = model_.numOutputs();
+    Matrix lhs(n + p, n + m);
+    lhs.setBlock(0, 0, model_.a - Matrix::identity(n));
+    lhs.setBlock(0, n, model_.b);
+    lhs.setBlock(n, 0, model_.c);
+    lhs.setBlock(n, n, model_.d);
+    Matrix rhs(n + p, 1);
+    rhs.setBlock(n, 0, y0Scaled_);
+    const Matrix sol = solveRidge(lhs, rhs, 1e-9);
+    xSs_ = sol.block(0, 0, n, 1);
+    uSs_ = sol.block(n, 0, m, 1);
 }
 
 void

@@ -62,16 +62,6 @@ struct InputLimits
 };
 
 /**
- * Steady-state servo targets for reference @p y0_scaled: solve
- * [A-I B; C D] [x_ss; u_ss] = [0; y0] in ridge least squares (scaled
- * coordinates). Shared by LqgServoController and ControllerBank so a
- * bank lane's targets are bit-identical to the scalar controller's.
- */
-void computeServoTargets(const StateSpaceModel &model,
-                         const Matrix &y0_scaled, Matrix &x_ss,
-                         Matrix &u_ss);
-
-/**
  * The runtime LQG servo controller. Works entirely in the model's scaled
  * coordinates; callers pass physical readings and receive physical input
  * commands.
@@ -176,6 +166,7 @@ class LqgServoController
     /** The whole design computation; all recoverable failures. */
     Status init();
 
+    /** Steady-state servo targets (xSs_, uSs_) for y0Scaled_. */
     void computeTargets();
 
     StateSpaceModel model_;

@@ -101,6 +101,11 @@ struct DriverConfig
     size_t epochs = 3000;
     size_t warmupEpochs = 150;     //!< Fast-forward before control.
     size_t errorSkipEpochs = 200;  //!< Transient excluded from errors.
+    /**
+     * Not read by the driver: the per-epoch trace is always filled,
+     * because finish() derives steadyEpochFreq / steadyEpochCache
+     * from it. Kept so existing callers that set it still compile.
+     */
     bool recordTrace = false;
 
     /**
@@ -183,7 +188,7 @@ class EpochDriver
     /** Epochs stepped since begin(). */
     size_t epochsDone() const { return epoch_; }
 
-    /** Per-epoch trace (only filled when recordTrace). */
+    /** Per-epoch trace (always filled; see DriverConfig::recordTrace). */
     const EpochTrace &trace() const { return trace_; }
 
     Plant &plant() { return plant_; }

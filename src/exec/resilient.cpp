@@ -499,10 +499,8 @@ class Engine
             return;
         }
         std::string out;
-        out += "{\n\"schema\": 2,\n";
+        out += "{\n\"schema\": 3,\n";
         out += "\"jobs\": " + std::to_string(report.jobs) + ",\n";
-        out += "\"bank_lanes\": " +
-               std::to_string(policy_.bankLanes) + ",\n";
         out += "\"completed\": " + std::to_string(report.completed) +
                ",\n";
         out += "\"resumed_from_journal\": " +

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,11 +54,11 @@ struct SweepOptions
      */
     std::string telemetry;
     /**
-     * Expected total epochs (or bank steps) across the sweep. When
-     * > 0 and this runner arms the trace buffer, the buffer is sized
-     * via telemetry::traceCapacityForEpochs() instead of the fixed
-     * legacy worst-case preallocation, so telemetry-ON memory scales
-     * with the workload. 0 keeps the legacy capacity.
+     * Expected total epochs across the sweep. When > 0 and this
+     * runner arms the trace buffer, the buffer is sized via
+     * telemetry::traceCapacityForEpochs() instead of the fixed legacy
+     * worst-case preallocation, so telemetry-ON memory scales with
+     * the workload. 0 keeps the legacy capacity.
      */
     size_t traceEpochs = 0;
     /**
@@ -108,23 +107,6 @@ class SweepRunner
 
     /** The policy mapJobs() executes under (from SweepOptions). */
     const ResilientPolicy &policy() const { return resilient_; }
-
-    /**
-     * Run @p fn(i) for i in [0, n) and return the results in index
-     * order. R must be default-constructible and movable. With one
-     * worker the jobs run inline, in order, on the calling thread
-     * (exactly the pre-parallel serial semantics). Job exceptions are
-     * captured and the lowest-index one is rethrown after the sweep,
-     * wrapped with the job's index and original message.
-     */
-    template <typename R>
-    std::vector<R>
-    map(size_t n, const std::function<R(size_t)> &fn)
-    {
-        std::vector<R> results(n);
-        forEach(n, [&](size_t i) { results[i] = fn(i); });
-        return results;
-    }
 
     /**
      * The resilient sweep entry point: run one job per @p key under
@@ -191,12 +173,6 @@ class SweepRunner
             out.results[f.index] = R{};
         return out;
     }
-
-    /**
-     * Run @p fn(i) for i in [0, n); results are whatever fn writes to
-     * its own slots. Blocks until all jobs finished.
-     */
-    void forEach(size_t n, const std::function<void(size_t)> &fn);
 
   private:
     unsigned jobs_;

@@ -103,10 +103,9 @@ SurrogateModel calibrateSurrogate(const AppSpec &app,
 
 /**
  * Allocation-free stepper for one instance of a surrogate's dynamics:
- * physical input in, noisy physical output out. Reused by
- * SurrogatePlant (one instance) and the analytic fleet tier in
- * exec::runFleetJob (one per lane). The model is borrowed and must
- * outlive the stepper.
+ * physical input in, noisy physical output out. SurrogatePlant steps
+ * one instance per epoch. The model is borrowed and must outlive the
+ * stepper.
  */
 class SurrogateDynamics
 {

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/experiment_config.hpp"
 #include "exec/chip_job.hpp"
 #include "exec/design_cache.hpp"
@@ -150,8 +152,10 @@ TEST(ChipDeterminism, ChipSweepsDigestIdenticalAtAnyWidth)
 
 TEST(ChipDeterminism, KillThenResumeDigestsIdenticalToClean)
 {
-    const std::string journal =
-        ::testing::TempDir() + "chip_determinism_resume.journal";
+    // Per-process name: ctest runs the copies of this test concurrently.
+    const std::string journal = ::testing::TempDir() +
+                                "chip_determinism_resume_" +
+                                std::to_string(::getpid()) + ".journal";
     std::remove(journal.c_str());
     const size_t n = kChips.size();
     const exec::SweepOutcome<exec::ChipResult> clean =

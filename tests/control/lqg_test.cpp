@@ -50,6 +50,28 @@ wideLimits(size_t n)
     return lim;
 }
 
+/** Narrow limits: at u = hi the coupled plant settles near (11, 9.7),
+ *  so a (40, 40) reference is unreachable. */
+InputLimits
+paperLimits()
+{
+    InputLimits lim;
+    lim.lo = {0.5, 1.0};
+    lim.hi = {2.0, 4.0};
+    return lim;
+}
+
+/** True when some input of @p u sits on a limit of @p lim. */
+bool
+atRail(const Matrix &u, const InputLimits &lim)
+{
+    for (size_t i = 0; i < u.rows(); ++i) {
+        if (u[i] == lim.lo[i] || u[i] == lim.hi[i])
+            return true;
+    }
+    return false;
+}
+
 /** Closed-loop run against a (possibly perturbed) simulation plant. */
 struct SimLoop
 {
@@ -395,6 +417,65 @@ TEST(Lqg, SpikeRaisesInnovationNorm)
     // The supervisor keys off exactly this signal.
     EXPECT_GT(ctrl.lastInnovationNorm(), settled + 1.0);
     EXPECT_TRUE(ctrl.stateFinite());
+}
+
+TEST(Lqg, SaturationWatchdogTripsResetsStateAndCanBeDisabled)
+{
+    const InputLimits lim = paperLimits();
+    const Matrix unreachable = Matrix::vector({40.0, 40.0});
+    const Matrix far = Matrix::vector({1.0, 1.0}); // 97.5% error.
+    LqgServoController ctrl(coupledPlant(), defaultWeights2x2(), lim);
+    LqgServoController disabled = ctrl;
+    ctrl.setSaturationWatchdog(5);
+    disabled.setSaturationWatchdog(0);
+    ctrl.setReference(unreachable);
+    disabled.setReference(unreachable);
+
+    // Only the fifth consecutive saturated large-error step trips;
+    // an on-reference sample in between restarts the count.
+    Matrix last;
+    for (int t = 0; t < 4; ++t) {
+        ASSERT_TRUE(atRail(ctrl.step(far), lim)) << "step " << t;
+        disabled.step(far);
+    }
+    EXPECT_EQ(ctrl.watchdogTrips(), 0ul);
+    ctrl.step(unreachable);
+    disabled.step(unreachable);
+    for (int t = 0; t < 5; ++t) {
+        EXPECT_EQ(ctrl.watchdogTrips(), 0ul) << "step " << t;
+        last = ctrl.step(far);
+        ASSERT_TRUE(atRail(last, lim)) << "step " << t;
+        disabled.step(far);
+    }
+    EXPECT_EQ(ctrl.watchdogTrips(), 1ul);
+
+    // The trip zeroed the estimator and integrator: from here on the
+    // controller is bit-identical to a fresh one reset at the last
+    // applied command, while the never-tripping twin (same history,
+    // watchdog disabled) still carries its state and steers elsewhere.
+    LqgServoController fresh(coupledPlant(), defaultWeights2x2(), lim);
+    fresh.reset(last);
+    const Matrix reachable = Matrix::vector({7.0, 6.0});
+    ctrl.setReference(reachable);
+    fresh.setReference(reachable);
+    disabled.setReference(reachable);
+    bool steered_elsewhere = false;
+    for (int t = 0; t < 20; ++t) {
+        const Matrix u = ctrl.step(reachable);
+        const Matrix &u_fresh = fresh.step(reachable);
+        const Matrix &u_disabled = disabled.step(reachable);
+        for (size_t i = 0; i < 2; ++i) {
+            EXPECT_EQ(u[i], u_fresh[i]) << "step " << t << " input " << i;
+            steered_elsewhere |= u[i] != u_disabled[i];
+        }
+    }
+    EXPECT_TRUE(steered_elsewhere);
+
+    // Disabled, it never trips, however long the saturation lasts.
+    disabled.setReference(unreachable);
+    for (int t = 0; t < 200; ++t)
+        disabled.step(far);
+    EXPECT_EQ(disabled.watchdogTrips(), 0ul);
 }
 
 TEST(Lqg, TryMakeReportsBadWeightsAsError)

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "control/bank.hpp"
 #include "control/lqg.hpp"
 #include "core/controllers.hpp"
 #include "core/harness.hpp"
@@ -200,63 +199,6 @@ TEST(AllocationFree, ArmingTelemetryDoesNotChangeAllocationCount)
     telemetry::trace().stop();
     telemetry::trace().clear();
     EXPECT_EQ(armed, disarmed);
-}
-
-/**
- * The fleet contract: a warmed ControllerBank::stepAll() makes zero
- * steady-state heap allocations regardless of lane count. Setup
- * (addLane growth, design, plane sizing) happens before the counted
- * window; the measured loop stages measurements through preallocated
- * columns and steps the whole bank.
- */
-void
-bankStepAllAllocationFree(size_t lanes)
-{
-    InputLimits lim;
-    lim.lo = {0.5, 1.0};
-    lim.hi = {2.0, 4.0};
-    const StateSpaceModel model = dim4Model();
-    const LqgWeights weights = paperWeights();
-
-    ControllerBank bank;
-    const Matrix refm = Matrix::vector({2.0, 2.0});
-    const Matrix y = Matrix::vector({1.8, 1.9});
-    for (size_t l = 0; l < lanes; ++l) {
-        bank.addLane(model, weights, lim);
-        bank.setReference(l, refm);
-    }
-    for (int i = 0; i < 16; ++i) {
-        for (size_t l = 0; l < lanes; ++l)
-            bank.setMeasurement(l, y);
-        bank.stepAll();
-    }
-
-    const uint64_t before = allocCount();
-    double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-        for (size_t l = 0; l < lanes; ++l)
-            bank.setMeasurement(l, y);
-        bank.stepAll();
-        sink += bank.command(0, 0);
-    }
-    EXPECT_EQ(allocCount() - before, 0u)
-        << "ControllerBank::stepAll() allocated on the steady-state "
-           "path at N=" << lanes << " (checksum " << sink << ")";
-}
-
-TEST(AllocationFree, BankStepAllAllocationFreeN1)
-{
-    bankStepAllAllocationFree(1);
-}
-
-TEST(AllocationFree, BankStepAllAllocationFreeN64)
-{
-    bankStepAllAllocationFree(64);
-}
-
-TEST(AllocationFree, BankStepAllAllocationFreeN1024)
-{
-    bankStepAllAllocationFree(1024);
 }
 
 } // namespace

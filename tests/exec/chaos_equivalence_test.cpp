@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/controllers.hpp"
 #include "core/design_flow.hpp"
 #include "core/harness.hpp"
@@ -159,8 +161,11 @@ TEST(ChaosEquivalence, FaultedSweepsDigestIdenticalToCleanAtAnyWidth)
 
 TEST(ChaosEquivalence, KillThenResumeDigestsIdenticalToClean)
 {
+    // Per-process name: ctest runs the plain and tsan/ copies of this
+    // test concurrently, and a shared journal would mix their jobs.
     const std::string journal = ::testing::TempDir() +
-                                "chaos_equivalence_resume.journal";
+                                "chaos_equivalence_resume_" +
+                                std::to_string(::getpid()) + ".journal";
     std::remove(journal.c_str());
     const size_t n = kJobs.size();
     const exec::SweepOutcome<Digests> clean =

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "exec/journal.hpp"
 
 namespace mimoarch::exec {
@@ -24,11 +26,13 @@ class JournalTest : public ::testing::Test
     void
     SetUp() override
     {
+        // Per-process name: ctest runs the copies of this suite
+        // concurrently.
         path_ = ::testing::TempDir() + "journal_test_" +
                 ::testing::UnitTest::GetInstance()
                     ->current_test_info()
                     ->name() +
-                ".journal";
+                "_" + std::to_string(::getpid()) + ".journal";
         std::remove(path_.c_str());
     }
 

@@ -67,8 +67,12 @@ sweepAt(unsigned workers)
     // Initializing on the main thread gives every worker a TSan-visible
     // edge (thread creation) ordered after the init.
     (void)Spec2006Suite::all();
-    return runner.map<Digests>(kJobs.size(), [&](size_t i) {
-        const auto &[app, arch] = kJobs[i];
+    std::vector<exec::JobKey> keys;
+    for (const auto &[app, arch] : kJobs)
+        keys.push_back({app, arch, 0, 0});
+    return runner.mapJobs<Digests>(
+        keys, cfg.fingerprint(), [&](const exec::JobContext &ctx) {
+        const auto &[app, arch] = kJobs[ctx.index];
         const KnobSpace knobs(false);
 
         std::unique_ptr<ArchController> ctrl;
@@ -94,7 +98,7 @@ sweepAt(unsigned workers)
         init.cacheSetting = 1;
         const RunSummary sum = driver.run(init);
         return Digests{digest(sum), digest(driver.trace())};
-    });
+    }).results;
 }
 
 TEST(ParallelEquivalence, OneTwoAndEightWorkersAgreeBitForBit)

@@ -1,17 +1,14 @@
 /**
  * @file
- * SweepRunner and job-seeding unit tests: flag parsing, index-ordered
- * results at any worker count, exception routing, and the stability
- * properties jobSeed() promises.
+ * SweepRunner and job-seeding unit tests: flag parsing, key-ordered
+ * mapJobs() results at any worker count, and the stability properties
+ * jobSeed() promises. Failure routing is covered by resilient_test.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/sweep.hpp"
@@ -100,15 +97,21 @@ TEST(SweepRunner, ReportsAtLeastOneJob)
 
 TEST(SweepRunner, MapReturnsResultsInIndexOrder)
 {
+    std::vector<JobKey> keys(100);
+    for (size_t i = 0; i < keys.size(); ++i)
+        keys[i].rep = i;
     for (unsigned jobs : {1u, 2u, 8u}) {
         SweepOptions opt;
         opt.jobs = jobs;
         SweepRunner runner(opt);
-        const std::vector<size_t> out = runner.map<size_t>(
-            100, [](size_t i) { return i * i; });
-        ASSERT_EQ(out.size(), 100u);
-        for (size_t i = 0; i < out.size(); ++i)
-            EXPECT_EQ(out[i], i * i) << "jobs=" << jobs;
+        const SweepOutcome<size_t> out = runner.mapJobs<size_t>(
+            keys, 0, [](const JobContext &ctx) {
+                return static_cast<size_t>(ctx.key.rep * ctx.key.rep);
+            });
+        EXPECT_TRUE(out.report.complete());
+        ASSERT_EQ(out.results.size(), 100u);
+        for (size_t i = 0; i < out.results.size(); ++i)
+            EXPECT_EQ(out.results[i], i * i) << "jobs=" << jobs;
     }
 }
 
@@ -117,45 +120,11 @@ TEST(SweepRunner, EmptySweepIsANoOp)
     SweepOptions opt;
     opt.jobs = 4;
     SweepRunner runner(opt);
-    EXPECT_TRUE(runner.map<int>(0, [](size_t) { return 1; }).empty());
-}
-
-TEST(SweepRunner, SerialRunnerExecutesInOrderOnThisThread)
-{
-    SweepOptions opt;
-    opt.jobs = 1;
-    SweepRunner runner(opt);
-    const std::thread::id self = std::this_thread::get_id();
-    std::vector<size_t> order;
-    runner.forEach(10, [&](size_t i) {
-        EXPECT_EQ(std::this_thread::get_id(), self);
-        order.push_back(i);
-    });
-    ASSERT_EQ(order.size(), 10u);
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(SweepRunner, LowestIndexExceptionWins)
-{
-    SweepOptions opt;
-    opt.jobs = 4;
-    SweepRunner runner(opt);
-    std::atomic<int> completed{0};
-    try {
-        runner.forEach(64, [&](size_t i) {
-            if (i == 37 || i == 53)
-                throw std::runtime_error(std::to_string(i));
-            completed.fetch_add(1);
-        });
-        FAIL() << "expected the job exception to propagate";
-    } catch (const std::runtime_error &e) {
-        // First-failure context: the rethrown error carries the job's
-        // index alongside the original message.
-        EXPECT_STREQ(e.what(), "sweep job 37/64 failed: 37");
-    }
-    // Every non-throwing job still ran to completion.
-    EXPECT_EQ(completed.load(), 62);
+    const SweepOutcome<int> out = runner.mapJobs<int>(
+        {}, 0, [](const JobContext &) { return 1; });
+    EXPECT_TRUE(out.results.empty());
+    EXPECT_EQ(out.report.jobs, 0u);
+    EXPECT_TRUE(out.report.complete());
 }
 
 TEST(JobSeed, IsAPureFunctionOfTheKey)

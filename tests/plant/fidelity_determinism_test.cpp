@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/controllers.hpp"
 #include "core/design_flow.hpp"
 #include "core/harness.hpp"
@@ -161,8 +163,10 @@ TEST(FidelityDeterminism, AnalyticSweepsDigestIdenticalAtAnyWidth)
 
 TEST(FidelityDeterminism, KillThenResumeDigestsIdenticalToClean)
 {
-    const std::string journal =
-        ::testing::TempDir() + "fidelity_determinism_resume.journal";
+    // Per-process name: ctest runs the copies of this test concurrently.
+    const std::string journal = ::testing::TempDir() +
+                                "fidelity_determinism_resume_" +
+                                std::to_string(::getpid()) + ".journal";
     std::remove(journal.c_str());
     const size_t n = kJobs.size();
     const exec::SweepOutcome<Digests> clean =
