@@ -1,6 +1,7 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 
@@ -13,13 +14,56 @@ Core::Core(const CoreConfig &config, InstructionSource *source,
 {
     if (!source_ || !mem_)
         fatal("Core needs an instruction source and a memory hierarchy");
-    if (config_.robSizeMax == 0 || config_.issueWidth == 0)
-        fatal("Core config: zero ROB size or issue width");
-    rob_.reset(config_.robSizeMax);
+    // Consumer links pack slot * 2 + operand into 32 bits.
+    if (config_.robSizeMax == 0 || config_.robSizeMax > (1u << 30) ||
+        config_.issueWidth == 0)
+        fatal("Core config: ROB size ", config_.robSizeMax,
+              " or issue width ", config_.issueWidth, " out of range");
+    // Select picks a whole cycle's ops before any of them issues, which
+    // is exact only if no result is ready in the cycle it is produced.
+    if (config_.intMulLatency == 0 || config_.intDivLatency == 0 ||
+        config_.fpAluLatency == 0 || config_.fpMulLatency == 0 ||
+        config_.fpDivLatency == 0 || mem_->config().l1LatencyCycles == 0)
+        fatal("Core config: execute and L1 latencies must be >= 1 cycle");
+
+    const uint32_t slots = std::bit_ceil(config_.robSizeMax);
+    rob_.assign(slots, RobEntry{});
+    robMask_ = slots - 1;
+    wakeWheel_.assign(kWakeWheelSize, kNoLink);
+    readyWords_ = (slots + 63) / 64;
+    readyBits_.assign(kNumPortGroups * readyWords_, 0);
+    portCap_[kAluGroup] = config_.aluPorts;
+    portCap_[kMulDivGroup] = config_.mulDivPorts;
+    portCap_[kFpGroup] = config_.fpPorts;
+    portCap_[kLoadGroup] = config_.loadPorts;
+    portCap_[kStoreGroup] = config_.storePorts;
+    candidates_.reserve(size_t{kNumPortGroups} * config_.issueWidth);
     // fetchStage checks the cap before a fetch group, then pushes up to
     // fetchWidth ops, so the queue can exceed the cap by one group.
     fetchQueue_.reset(size_t{2} * config_.fetchWidth * config_.frontendDepth +
                       config_.fetchWidth);
+}
+
+Core::PortGroup
+Core::portGroup(OpClass cls)
+{
+    switch (cls) {
+      case OpClass::IntAlu:
+      case OpClass::Branch:
+        return kAluGroup;
+      case OpClass::IntMul:
+      case OpClass::IntDiv:
+        return kMulDivGroup;
+      case OpClass::FpAlu:
+      case OpClass::FpMul:
+      case OpClass::FpDiv:
+        return kFpGroup;
+      case OpClass::Load:
+        return kLoadGroup;
+      case OpClass::Store:
+        return kStoreGroup;
+    }
+    panic("unknown op class");
 }
 
 unsigned
@@ -46,18 +90,6 @@ Core::execLatency(OpClass cls) const
     panic("unknown op class");
 }
 
-bool
-Core::producerDone(uint64_t producer_seq) const
-{
-    if (producer_seq == 0 || producer_seq < robHeadSeq_)
-        return true; // no dependency, or already committed
-    const size_t idx = producer_seq - robHeadSeq_;
-    if (idx >= rob_.size())
-        return true; // defensive: outside the window
-    const RobEntry &e = rob_[idx];
-    return e.issued && e.readyCycle <= now_;
-}
-
 void
 Core::setRobSize(unsigned entries)
 {
@@ -73,160 +105,196 @@ Core::setRobSize(unsigned entries)
 }
 
 void
-Core::flushPipeline()
-{
-    fetchQueue_.clear();
-    robHeadSeq_ += rob_.size();
-    rob_.clear();
-    issuedPrefix_ = 0;
-    loadsInFlight_ = 0;
-    storesInFlight_ = 0;
-    pendingBranchSeq_ = 0;
-    fetchBlockedUntil_ = now_;
-}
-
-void
 Core::commitStage()
 {
     unsigned committed = 0;
-    while (!rob_.empty() && committed < config_.commitWidth) {
-        RobEntry &head = rob_.front();
-        if (!head.issued || head.readyCycle > now_)
-            break;
-        if (head.op.cls == OpClass::Load) {
+    while (robCount_ > 0 && committed < config_.commitWidth) {
+        const RobEntry &head =
+            rob_[static_cast<uint32_t>(robHeadSeq_) & robMask_];
+        if (head.readyCycle > now_)
+            break; // not issued, or its result is not ready yet
+        if (head.cls == OpClass::Load) {
             if (loadsInFlight_ > 0)
                 --loadsInFlight_;
-        } else if (head.op.cls == OpClass::Store) {
+        } else if (head.cls == OpClass::Store) {
             if (storesInFlight_ > 0)
                 --storesInFlight_;
         }
-        rob_.pop_front();
         ++robHeadSeq_;
-        if (issuedPrefix_ > 0)
-            --issuedPrefix_;
+        --robCount_;
         ++counters_.committed;
         ++committed;
     }
 }
 
 void
-Core::issueStage(double freq_ghz)
+Core::setReady(uint32_t slot)
 {
-    unsigned issued = 0;
-    unsigned alu = 0, muldiv = 0, fp = 0, ld = 0, st = 0;
-    // Skip the already-issued prefix. Issued entries carry no per-cycle
-    // side effects in this loop (the port counters only count ops newly
-    // issued this cycle), so starting past them is behaviour-preserving.
-    while (issuedPrefix_ < rob_.size() && rob_[issuedPrefix_].issued)
-        ++issuedPrefix_;
-    const size_t rob_size = rob_.size();
-    for (size_t idx = issuedPrefix_; idx < rob_size; ++idx) {
-        RobEntry &e = rob_[idx];
-        if (issued >= config_.issueWidth)
-            break;
-        if (e.issued)
-            continue;
-        // Port availability for this op class.
-        bool port_free = false;
-        switch (e.op.cls) {
-          case OpClass::IntAlu:
-          case OpClass::Branch:
-            port_free = alu < config_.aluPorts;
-            break;
-          case OpClass::IntMul:
-          case OpClass::IntDiv:
-            port_free = muldiv < config_.mulDivPorts;
-            break;
-          case OpClass::FpAlu:
-          case OpClass::FpMul:
-          case OpClass::FpDiv:
-            port_free = fp < config_.fpPorts;
-            break;
-          case OpClass::Load:
-            port_free = ld < config_.loadPorts;
-            break;
-          case OpClass::Store:
-            port_free = st < config_.storePorts;
-            break;
-        }
-        if (!port_free)
-            continue;
-        if (!producerDone(e.producerSeq0) || !producerDone(e.producerSeq1))
-            continue;
+    const unsigned g = rob_[slot].group;
+    readyBits_[g * readyWords_ + (slot >> 6)] |= uint64_t{1} << (slot & 63);
+    ++readyCount_[g];
+}
 
-        // Issue.
-        e.issued = true;
-        ++issued;
-        ++counters_.issued;
-        ++counters_.issuedByClass[static_cast<size_t>(e.op.cls)];
-        switch (e.op.cls) {
-          case OpClass::IntAlu:
-          case OpClass::Branch:
-            ++alu;
-            e.readyCycle = now_ + execLatency(e.op.cls);
-            break;
-          case OpClass::IntMul:
-          case OpClass::IntDiv:
-            ++muldiv;
-            e.readyCycle = now_ + execLatency(e.op.cls);
-            break;
-          case OpClass::FpAlu:
-          case OpClass::FpMul:
-          case OpClass::FpDiv:
-            ++fp;
-            e.readyCycle = now_ + execLatency(e.op.cls);
-            break;
-          case OpClass::Load: {
-            ++ld;
-            const MemAccessResult r =
-                mem_->accessData(e.op.addr, false, freq_ghz);
-            ++counters_.l1dAccesses;
-            if (!r.l1Hit) {
-                ++counters_.l1dMisses;
-                ++counters_.l2Accesses;
-                if (!r.l2Hit) {
-                    ++counters_.l2Misses;
-                    ++counters_.memAccesses;
-                }
-            }
-            e.readyCycle = now_ + r.latencyCycles;
-            break;
-          }
-          case OpClass::Store: {
-            ++st;
-            const MemAccessResult r =
-                mem_->accessData(e.op.addr, true, freq_ghz);
-            ++counters_.l1dAccesses;
-            if (!r.l1Hit) {
-                ++counters_.l1dMisses;
-                ++counters_.l2Accesses;
-                if (!r.l2Hit) {
-                    ++counters_.l2Misses;
-                    ++counters_.memAccesses;
-                }
-            }
-            // The store buffer hides the write latency from the pipeline.
-            e.readyCycle = now_ + 1;
-            break;
-          }
-        }
+void
+Core::wake(uint32_t slot, uint64_t operands_ready)
+{
+    // Dispatch and issue-time wakeups both run after this cycle's
+    // select, so an op ready by the next cycle joins the bitmaps now.
+    if (operands_ready <= now_ + 1) {
+        setReady(slot);
+        return;
+    }
+    uint32_t &bucket = wakeWheel_[operands_ready % kWakeWheelSize];
+    rob_[slot].nextWake = bucket;
+    bucket = slot;
+}
 
-        // A mispredicted branch redirects fetch when it resolves.
-        if (e.mispredicted) {
-            fetchBlockedUntil_ = std::max(
-                fetchBlockedUntil_,
-                e.readyCycle + config_.mispredictRedirectCycles);
-            if (pendingBranchSeq_ == e.seq)
-                pendingBranchSeq_ = 0;
+void
+Core::collectOldestReady(unsigned group, uint32_t head_slot,
+                         unsigned limit)
+{
+    if (limit == 0)
+        return;
+    const uint64_t *bits = &readyBits_[group * readyWords_];
+    const size_t first = head_slot >> 6;
+    const unsigned head_bit = head_slot & 63;
+    unsigned found = 0;
+    // Oldest first: the head's word from the head's bit up, the words
+    // after it (wrapping), then the head's word below the head's bit.
+    for (size_t i = 0; i <= readyWords_; ++i) {
+        const size_t w = first + i < readyWords_ ? first + i
+                                                 : first + i - readyWords_;
+        uint64_t word = bits[w];
+        if (i == 0)
+            word &= ~uint64_t{0} << head_bit;
+        else if (i == readyWords_)
+            word &= (uint64_t{1} << head_bit) - 1;
+        for (; word != 0; word &= word - 1) {
+            const uint32_t slot =
+                static_cast<uint32_t>(w * 64) + std::countr_zero(word);
+            candidates_.push_back((slot - head_slot) & robMask_);
+            if (++found == limit)
+                return;
         }
     }
+}
+
+void
+Core::issueStage(double freq_ghz)
+{
+    // Wakeup: ops whose operands are ready now become selectable. The
+    // bucket also holds ops due a whole number of wheel turns later.
+    for (uint32_t *link = &wakeWheel_[now_ % kWakeWheelSize];
+         *link != kNoLink;) {
+        const uint32_t slot = *link;
+        RobEntry &e = rob_[slot];
+        if (e.operandsReadyCycle <= now_) {
+            *link = e.nextWake;
+            setReady(slot);
+        } else {
+            link = &e.nextWake;
+        }
+    }
+
+    // Select: each group's oldest min(ports, issueWidth) ready ops, cut
+    // to the oldest issueWidth. That is what an oldest-first walk of
+    // the waiting ops takes when it takes each ready op whose group has
+    // a free port and stops at issueWidth, because no op issued this
+    // cycle makes another ready this cycle (every latency is >= 1).
+    candidates_.clear();
+    const uint32_t head_slot =
+        static_cast<uint32_t>(robHeadSeq_) & robMask_;
+    for (unsigned g = 0; g < kNumPortGroups; ++g)
+        if (readyCount_[g] != 0)
+            collectOldestReady(g, head_slot,
+                               std::min(portCap_[g], config_.issueWidth));
+    if (candidates_.empty())
+        return;
+    std::sort(candidates_.begin(), candidates_.end());
+    const size_t n =
+        std::min<size_t>(candidates_.size(), config_.issueWidth);
+    // Issue in age order, so memory accesses, counters and the
+    // mispredict redirect see the oldest-first sequence.
+    for (size_t i = 0; i < n; ++i) {
+        const uint32_t age = candidates_[i];
+        issue((head_slot + age) & robMask_, robHeadSeq_ + age, freq_ghz);
+    }
+}
+
+void
+Core::issue(uint32_t slot, uint64_t seq, double freq_ghz)
+{
+    RobEntry &e = rob_[slot];
+    readyBits_[e.group * readyWords_ + (slot >> 6)] &=
+        ~(uint64_t{1} << (slot & 63));
+    --readyCount_[e.group];
+
+    ++counters_.issued;
+    ++counters_.issuedByClass[static_cast<size_t>(e.cls)];
+    if (e.cls == OpClass::Load || e.cls == OpClass::Store) {
+        const bool is_store = e.cls == OpClass::Store;
+        const MemAccessResult r = mem_->accessData(e.addr, is_store,
+                                                   freq_ghz);
+        ++counters_.l1dAccesses;
+        if (!r.l1Hit) {
+            ++counters_.l1dMisses;
+            ++counters_.l2Accesses;
+            if (!r.l2Hit) {
+                ++counters_.l2Misses;
+                ++counters_.memAccesses;
+            }
+        }
+        // The store buffer hides the write latency from the pipeline.
+        e.readyCycle = now_ + (is_store ? 1 : r.latencyCycles);
+    } else {
+        e.readyCycle = now_ + execLatency(e.cls);
+    }
+
+    // A mispredicted branch redirects fetch when it resolves.
+    if (e.mispredicted) {
+        fetchBlockedUntil_ =
+            std::max(fetchBlockedUntil_,
+                     e.readyCycle + config_.mispredictRedirectCycles);
+        if (pendingBranchSeq_ == seq)
+            pendingBranchSeq_ = 0;
+    }
+
+    // Wake the consumers; the last producer to issue schedules one.
+    for (uint32_t link = e.firstConsumer; link != kNoLink;) {
+        const uint32_t consumer_slot = link >> 1;
+        RobEntry &c = rob_[consumer_slot];
+        link = c.nextConsumer[link & 1];
+        c.operandsReadyCycle = std::max(c.operandsReadyCycle, e.readyCycle);
+        if (--c.pendingProducers == 0)
+            wake(consumer_slot, c.operandsReadyCycle);
+    }
+}
+
+void
+Core::linkProducer(RobEntry &consumer, uint32_t slot, unsigned operand,
+                   uint16_t dist, uint64_t seq)
+{
+    if (dist == 0 || dist >= seq)
+        return; // no producer in the stream
+    const uint64_t producer_seq = seq - dist;
+    if (producer_seq < robHeadSeq_)
+        return; // committed, so its result is available
+    RobEntry &p = rob_[static_cast<uint32_t>(producer_seq) & robMask_];
+    if (p.readyCycle != kNotIssued) {
+        consumer.operandsReadyCycle =
+            std::max(consumer.operandsReadyCycle, p.readyCycle);
+        return;
+    }
+    consumer.nextConsumer[operand] = p.firstConsumer;
+    p.firstConsumer = slot * 2 + operand;
+    ++consumer.pendingProducers;
 }
 
 void
 Core::dispatchStage()
 {
     // Complete a pending ROB shrink once occupancy allows.
-    if (robSizeTarget_ < robSizeActive_ && rob_.size() <= robSizeTarget_)
+    if (robSizeTarget_ < robSizeActive_ && robCount_ <= robSizeTarget_)
         robSizeActive_ = robSizeTarget_;
 
     unsigned dispatched = 0;
@@ -235,7 +303,7 @@ Core::dispatchStage()
         FetchedOp &f = fetchQueue_.front();
         if (f.readyAtCycle > now_)
             break;
-        if (rob_.size() >= robSizeActive_) {
+        if (robCount_ >= robSizeActive_) {
             rob_full = true;
             break;
         }
@@ -250,19 +318,24 @@ Core::dispatchStage()
             break;
         }
 
-        RobEntry e;
-        e.op = f.op;
-        e.seq = f.seq;
+        // Dispatch is in order, so f.seq == robHeadSeq_ + robCount_ and
+        // every in-window producer is already in the ROB.
+        const uint32_t slot = static_cast<uint32_t>(f.seq) & robMask_;
+        RobEntry &e = rob_[slot];
+        e = RobEntry{};
+        e.addr = f.op.addr;
+        e.cls = f.op.cls;
+        e.group = portGroup(f.op.cls);
         e.mispredicted = f.mispredicted;
-        if (f.op.srcDist0 != 0 && f.op.srcDist0 < f.seq)
-            e.producerSeq0 = f.seq - f.op.srcDist0;
-        if (f.op.srcDist1 != 0 && f.op.srcDist1 < f.seq)
-            e.producerSeq1 = f.seq - f.op.srcDist1;
+        linkProducer(e, slot, 0, f.op.srcDist0, f.seq);
+        linkProducer(e, slot, 1, f.op.srcDist1, f.seq);
+        if (e.pendingProducers == 0)
+            wake(slot, e.operandsReadyCycle);
         if (f.op.cls == OpClass::Load)
             ++loadsInFlight_;
         else if (f.op.cls == OpClass::Store)
             ++storesInFlight_;
-        rob_.push_back(e);
+        ++robCount_;
         fetchQueue_.pop_front();
         ++dispatched;
         ++counters_.dispatched;
@@ -335,7 +408,7 @@ Core::cycle(double freq_ghz)
     issueStage(freq_ghz);
     dispatchStage();
     fetchStage();
-    counters_.robOccupancySum += rob_.size();
+    counters_.robOccupancySum += robCount_;
     ++counters_.cycles;
     ++now_;
 }

@@ -4,10 +4,18 @@
  *
  * The pipeline is a window-dataflow model in the ESESC tradition: fetch
  * (with I-cache and branch predictor), a fetch-to-dispatch delay, rename/
- * dispatch into a ROB ring buffer and load/store queues, dataflow issue
+ * dispatch into the ROB and load/store queues, wakeup/select issue
  * limited by functional-unit ports and the issue width, and in-order
  * commit. Dependencies are expressed as producer distances in the dynamic
  * stream, so any InstructionSource can drive the core.
+ *
+ * Issue is event-driven. At dispatch an op links itself onto the
+ * consumer list of each unissued producer; the producer's issue wakes
+ * it, and once its operands are ready it sits in a per-port-group ready
+ * bitmap over ROB slots. Select takes each group's oldest ready ops up
+ * to the group's port count and issues the oldest issueWidth of those
+ * in age order, which is exactly what an oldest-first walk of the
+ * window picks, so no cycle re-walks the waiting ops.
  *
  * Configurable knobs (the paper's inputs): ROB size (power-gated in
  * 16-entry partitions per Ponomarev et al. [37]) and, via the memory
@@ -62,7 +70,8 @@ class Core
 {
   public:
     /**
-     * @param config static parameters.
+     * @param config static parameters; every execute latency and the
+     *        hierarchy's L1 latency must be at least one cycle.
      * @param source dynamic micro-op stream (not owned).
      * @param mem memory hierarchy (not owned, shared with Processor).
      */
@@ -83,27 +92,46 @@ class Core
     void setRobSize(unsigned entries);
 
     unsigned robSize() const { return robSizeTarget_; }
-    unsigned robOccupancy() const { return static_cast<unsigned>(rob_.size()); }
+    unsigned robOccupancy() const { return robCount_; }
 
     const CoreCounters &counters() const { return counters_; }
     const CoreConfig &config() const { return config_; }
     const BranchPredictor &branchPredictor() const { return bpred_; }
 
-    /** Flush in-flight state (not predictor/caches); keeps counters. */
-    void flushPipeline();
-
     /** Zero the activity counters (e.g. after a warmup run). */
     void resetCounters() { counters_ = CoreCounters{}; }
 
   private:
+    /** Ops of one group compete for the same functional-unit ports. */
+    enum PortGroup : uint8_t {
+        kAluGroup,
+        kMulDivGroup,
+        kFpGroup,
+        kLoadGroup,
+        kStoreGroup,
+        kNumPortGroups,
+    };
+
+    static constexpr uint64_t kNotIssued = UINT64_MAX;
+    static constexpr uint32_t kNoLink = UINT32_MAX;
+
+    /**
+     * One ROB slot; the op with sequence number s lives in slot
+     * s & robMask_. A consumer link names a (slot, source operand) pair
+     * as slot * 2 + operand, so an op sits on one producer's consumer
+     * list per source (twice on one list when both sources name it).
+     */
     struct RobEntry
     {
-        MicroOp op;
-        uint64_t seq = 0;
-        uint64_t readyCycle = UINT64_MAX; //!< Result-available cycle.
-        uint64_t producerSeq0 = 0;        //!< 0 = none.
-        uint64_t producerSeq1 = 0;
-        bool issued = false;
+        uint64_t addr = 0;                //!< Loads and stores.
+        uint64_t readyCycle = kNotIssued; //!< Result-available cycle.
+        uint64_t operandsReadyCycle = 0;  //!< Latest issued producer's.
+        uint32_t firstConsumer = kNoLink;
+        uint32_t nextConsumer[2] = {kNoLink, kNoLink};
+        uint32_t nextWake = kNoLink;      //!< Wake-wheel bucket link.
+        OpClass cls = OpClass::IntAlu;
+        uint8_t group = kAluGroup;        //!< PortGroup of cls.
+        uint8_t pendingProducers = 0;     //!< Unissued producers.
         bool mispredicted = false;
     };
 
@@ -120,7 +148,14 @@ class Core
     void issueStage(double freq_ghz);
     void commitStage();
 
-    bool producerDone(uint64_t producer_seq) const;
+    void linkProducer(RobEntry &consumer, uint32_t slot, unsigned operand,
+                      uint16_t dist, uint64_t seq);
+    void wake(uint32_t slot, uint64_t operands_ready);
+    void setReady(uint32_t slot);
+    void collectOldestReady(unsigned group, uint32_t head_slot,
+                            unsigned limit);
+    void issue(uint32_t slot, uint64_t seq, double freq_ghz);
+    static PortGroup portGroup(OpClass cls);
     unsigned execLatency(OpClass cls) const;
 
     CoreConfig config_;
@@ -132,17 +167,32 @@ class Core
     uint64_t nextSeq_ = 1;
 
     RingBuffer<FetchedOp> fetchQueue_;
-    RingBuffer<RobEntry> rob_; //!< Head at front; seq increases to back.
-    uint64_t robHeadSeq_ = 1;  //!< seq of rob_.front() when non-empty.
+
+    /** ROB slots, a power-of-two count >= robSizeMax. */
+    std::vector<RobEntry> rob_;
+    uint32_t robMask_ = 0;
+    uint64_t robHeadSeq_ = 1; //!< Oldest op in the ROB (when non-empty).
+    unsigned robCount_ = 0;   //!< The ROB holds [robHeadSeq_, +robCount_).
 
     /**
-     * Number of leading ROB entries known to be issued. Entries only
-     * gain `issued` (monotone per entry) and leave from the front, so
-     * issueStage can start its wakeup scan here instead of re-walking
-     * the issued prefix every cycle. Maintained by commitStage (pops)
-     * and flushPipeline (reset).
+     * Ops whose producers all issued but whose operands are not ready
+     * by the next cycle, bucketed by ready cycle mod kWakeWheelSize
+     * (slot lists linked through RobEntry::nextWake).
      */
-    size_t issuedPrefix_ = 0;
+    static constexpr uint64_t kWakeWheelSize = 512;
+    std::vector<uint32_t> wakeWheel_;
+
+    /**
+     * Ready-to-issue ops: per port group, one bit per ROB slot
+     * (group g owns words [g * readyWords_, (g + 1) * readyWords_)).
+     */
+    std::vector<uint64_t> readyBits_;
+    size_t readyWords_ = 0;
+    unsigned readyCount_[kNumPortGroups] = {};
+    unsigned portCap_[kNumPortGroups] = {};
+
+    /** Select scratch: ROB ages of this cycle's candidates. */
+    std::vector<uint32_t> candidates_;
 
     unsigned loadsInFlight_ = 0;
     unsigned storesInFlight_ = 0;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Fixed-capacity ring buffer used for the core's in-flight-op queues
- * (ROB, fetch queue). Replaces std::deque in the per-cycle hot loops:
- * storage is one contiguous allocation sized once at construction, so
- * pushes/pops never touch the heap and indexed access is a single
- * wrap instead of a two-level block lookup.
+ * Fixed-capacity ring buffer used for the core's fetch queue. Replaces
+ * std::deque in the per-cycle hot loop: storage is one contiguous
+ * allocation sized once at construction, so pushes/pops never touch the
+ * heap and indexed access is a single wrap instead of a two-level block
+ * lookup.
  */
 
 #pragma once

@@ -1,8 +1,9 @@
 /**
  * @file
  * RingBuffer unit tests: wrap-around correctness against a deque
- * reference, the issued-prefix indexing pattern the core's ROB walk
- * relies on, and the full/empty edge behavior (hard panics).
+ * reference, in-place updates through logical indices while the front
+ * retires (an issued-prefix pattern), and the full/empty edge behavior
+ * (hard panics).
  */
 
 #include <gtest/gtest.h>
@@ -93,10 +94,9 @@ TEST(RingBufferTest, IndexingMatchesDequeReference)
 
 TEST(RingBufferTest, IssuedPrefixPattern)
 {
-    // The core walks the ROB as an issued prefix: entries [0, issued)
-    // are in flight, [issued, size) are waiting. Retirement pops the
-    // front and shifts the prefix; the logical indices must stay
-    // consistent through wrap-around.
+    // Entries [0, issued) are in flight, [issued, size) are waiting.
+    // Retirement pops the front and shifts the prefix; the logical
+    // indices must stay consistent through wrap-around.
     struct Op
     {
         uint64_t seq = 0;
