@@ -13,11 +13,7 @@
  *              jobs re-run, the journaled ones are restored, and the
  *              digest again matches clean.
  *
- * In Release builds the chaos injector is compile-time pruned
- * (MIMOARCH_CHAOS=0): the chaos legs then run fault-free — the digest
- * equalities still hold and the resume leg is unaffected, so the bench
- * passes in every build type. Exit status is the proof: nonzero on any
- * digest mismatch.
+ * Exit status is the proof: nonzero on any digest mismatch.
  */
 
 #include <cstdio>
@@ -197,10 +193,7 @@ main(int argc, char **argv)
     table.writeFile("fig_exec_resilience.csv");
     if (failures == 0) {
         std::printf("# all legs digest bit-identical to the clean "
-                    "serial sweep%s.\n",
-                    exec::ChaosInjector(chaos).armed()
-                        ? " despite injected faults"
-                        : " (chaos pruned in this build)");
+                    "serial sweep despite injected faults.\n");
     } else {
         std::printf("# %d leg(s) FAILED the digest-equivalence "
                     "check.\n", failures);

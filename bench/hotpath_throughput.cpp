@@ -24,7 +24,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -110,10 +109,6 @@ struct Metrics
     double analyticSpeedupVsCycle = 0.0; //!< epochs/s ratio, same run.
     double analyticSweepChecksum = 0.0;
     double peakRssMbVal = 0.0;
-    double telemetryOffMs = 0.0;  //!< A/B loop, trace disarmed.
-    double telemetryOnMs = 0.0;   //!< A/B loop, trace armed.
-    double telemetryOverheadPct = 0.0;
-    double telemetryRssDeltaMb = 0.0; //!< Peak-RSS cost of arming.
 };
 
 void
@@ -144,30 +139,7 @@ writeJson(std::FILE *f, const char *indent, const Metrics &m)
                  m.analyticSpeedupVsCycle);
     std::fprintf(f, "%s\"analytic_sweep_checksum\": %.17g,\n", indent,
                  m.analyticSweepChecksum);
-    std::fprintf(f, "%s\"telemetry_off_ms\": %.3f,\n", indent,
-                 m.telemetryOffMs);
-    std::fprintf(f, "%s\"telemetry_on_ms\": %.3f,\n", indent,
-                 m.telemetryOnMs);
-    std::fprintf(f, "%s\"telemetry_overhead_pct\": %.2f,\n", indent,
-                 m.telemetryOverheadPct);
-    std::fprintf(f, "%s\"telemetry_rss_delta_mb\": %.2f,\n", indent,
-                 m.telemetryRssDeltaMb);
     std::fprintf(f, "%s\"peak_rss_mb\": %.2f\n", indent, m.peakRssMbVal);
-}
-
-/** One serial FixedController run for the telemetry A/B loop. */
-double
-telemetryProbeRun(size_t probe_epochs)
-{
-    const KnobSpace knobs(false);
-    SimPlant plant(Spec2006Suite::byName("namd"), knobs);
-    FixedController fixed(baselineSettings());
-    DriverConfig dcfg;
-    dcfg.epochs = probe_epochs;
-    EpochDriver driver(plant, fixed, dcfg);
-    const double t0 = nowMs();
-    (void)driver.run(baselineSettings());
-    return nowMs() - t0;
 }
 
 } // namespace
@@ -420,46 +392,6 @@ main(int argc, char **argv)
                     cur.analyticSweepChecksum);
     }
 
-    // 4. Telemetry ON-vs-OFF A/B: serial FixedController loops with
-    // the trace buffer disarmed, then armed, so the trajectory tracks
-    // what arming costs in wall time and resident set. Each side takes
-    // its best of three: the overhead is a difference of two wall
-    // measurements in the same percent-scale range as this box's
-    // scheduler jitter, and the single-shot version of this block
-    // reported a nonsensical negative overhead. With
-    // MIMOARCH_TELEMETRY=0 (or when --telemetry armed the buffer for
-    // the whole process) the two passes are identical by construction.
-    {
-        telemetry::Span span("telemetry-ab", "bench");
-        const size_t probe_epochs = 20000;
-        const bool externally_armed = telemetry::trace().enabled();
-        const auto min_of_3 = [&] {
-            double best = telemetryProbeRun(probe_epochs);
-            for (int rep = 1; rep < 3; ++rep)
-                best = std::min(best, telemetryProbeRun(probe_epochs));
-            return best;
-        };
-        cur.telemetryOffMs = min_of_3();
-        const double rss_before = peakRssMb();
-        if (!externally_armed)
-            telemetry::trace().start(
-                telemetry::traceCapacityForEpochs(3 * probe_epochs));
-        cur.telemetryOnMs = min_of_3();
-        if (!externally_armed)
-            telemetry::trace().stop();
-        cur.telemetryRssDeltaMb = peakRssMb() - rss_before;
-        cur.telemetryOverheadPct =
-            cur.telemetryOffMs > 0.0
-                ? (cur.telemetryOnMs - cur.telemetryOffMs) /
-                      cur.telemetryOffMs * 100.0
-                : 0.0;
-        std::printf("telemetry A/B: %10.1f ms off, %.1f ms on "
-                    "(%+.1f%%, +%.2f MB peak RSS)%s\n",
-                    cur.telemetryOffMs, cur.telemetryOnMs,
-                    cur.telemetryOverheadPct, cur.telemetryRssDeltaMb,
-                    externally_armed ? " [trace already armed]" : "");
-    }
-
     // Optional baseline for the trajectory.
     Metrics base;
     bool have_baseline = false;
@@ -492,19 +424,10 @@ main(int argc, char **argv)
             base.analyticSweepChecksum =
                 findNumber(text, "analytic_sweep_checksum");
             base.peakRssMbVal = findNumber(text, "peak_rss_mb");
-            base.telemetryOffMs = findNumber(text, "telemetry_off_ms");
-            base.telemetryOnMs = findNumber(text, "telemetry_on_ms");
-            base.telemetryOverheadPct =
-                findNumber(text, "telemetry_overhead_pct");
-            base.telemetryRssDeltaMb =
-                findNumber(text, "telemetry_rss_delta_mb");
-            // Baselines written before the telemetry A/B, steady or
-            // analytic blocks lack the fields; zero keeps the JSON
-            // valid.
+            // Baselines written before the steady or analytic blocks
+            // lack those fields; zero keeps the JSON valid.
             for (double *v :
-                 {&base.telemetryOffMs, &base.telemetryOnMs,
-                  &base.telemetryOverheadPct, &base.telemetryRssDeltaMb,
-                  &base.controllerSteadyNsPerStep,
+                 {&base.controllerSteadyNsPerStep,
                   &base.controllerSteadyChecksum,
                   &base.analyticCalibrationMs, &base.analyticSweepWallMs,
                   &base.analyticEpochsPerSec,

@@ -200,9 +200,12 @@ BM_DareSolve4x4(benchmark::State &state)
 BENCHMARK(BM_DareSolve4x4);
 
 // --- Telemetry primitives: the per-epoch instrumentation budget. ---
-// These bound what the loop.* metrics in harness.cpp cost per epoch
-// (a handful of counter adds + histogram records + one Span). With
-// MIMOARCH_TELEMETRY=OFF every one of these collapses to a no-op.
+// These bound what the loop.* metrics in harness.cpp cost per epoch:
+// the epoch counter (plus the knob-move and skip counters when they
+// fire) and an untimed Span while the trace buffer is disarmed, plus
+// two histogram records and a timed Span while it is armed. The counter
+// and histogram also run at 4 threads writing one metric, the contended
+// case the kMetricShards write shards exist for.
 
 void
 BM_TelemetryCounterAdd(benchmark::State &state)
@@ -214,7 +217,7 @@ BM_TelemetryCounterAdd(benchmark::State &state)
         benchmark::DoNotOptimize(&c);
     }
 }
-BENCHMARK(BM_TelemetryCounterAdd);
+BENCHMARK(BM_TelemetryCounterAdd)->Threads(1)->Threads(4);
 
 void
 BM_TelemetryHistogramRecord(benchmark::State &state)
@@ -228,7 +231,7 @@ BM_TelemetryHistogramRecord(benchmark::State &state)
         benchmark::DoNotOptimize(&h);
     }
 }
-BENCHMARK(BM_TelemetryHistogramRecord);
+BENCHMARK(BM_TelemetryHistogramRecord)->Threads(1)->Threads(4);
 
 void
 BM_TelemetrySpanUntraced(benchmark::State &state)

@@ -180,7 +180,12 @@ EpochDriver::stepEpoch()
                             std::to_string(t) + "/" +
                             std::to_string(config_.epochs));
     }
-    telemetry::Span epoch_span("epoch", "loop", tmEpochNs_, "epoch",
+    // The latency and error histograms feed only the --telemetry
+    // reports, so they record only while the trace buffer is armed;
+    // a disarmed epoch pays for the counters alone.
+    const bool armed = telemetry::trace().enabled();
+    telemetry::Span epoch_span("epoch", "loop",
+                               armed ? tmEpochNs_ : nullptr, "epoch",
                                static_cast<int64_t>(t));
     tmEpochs_->add(1);
 
@@ -250,7 +255,7 @@ EpochDriver::stepEpoch()
     } else {
         std::tie(ref_ips, ref_power) = controller_.reference();
     }
-    if (ref_ips > 0 && ref_power > 0) {
+    if (armed && ref_ips > 0 && ref_power > 0) {
         tmIpsErrBp_->record(
             relErrorBasisPoints(y_true[kOutputIps], ref_ips));
         tmPowerErrBp_->record(

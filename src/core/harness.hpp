@@ -226,7 +226,8 @@ class EpochDriver
 
     // Loop telemetry (see src/telemetry). Registered once at
     // construction; recording in the epoch loop is a few relaxed
-    // atomics — and compiles away entirely with MIMOARCH_TELEMETRY=0.
+    // atomics. The three histograms record only while the trace
+    // buffer is armed (stepEpoch).
     telemetry::Counter *tmEpochs_;
     telemetry::Counter *tmKnobMoves_;
     telemetry::Counter *tmNonfiniteSkips_;

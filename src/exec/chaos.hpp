@@ -9,12 +9,8 @@
  * that was chaos-failed re-runs with a different attempt number,
  * usually samples None, and produces the bit-identical result a
  * chaos-free run would have (see tests/exec/chaos_equivalence_test).
- *
- * Like MIMOARCH_CHECKED, the injector is build-time pruned: CMake sets
- * MIMOARCH_CHAOS=1 in Debug/RelWithDebInfo/sanitizer builds and 0 in
- * Release/MinSizeRel, where this header collapses to an inline no-op
- * shell (armed() is constant false, so every chaos branch in the sweep
- * engine folds away) and the --chaos-* flags are rejected.
+ * Every build type compiles it; a sweep with no --chaos-* rate set is
+ * never armed and pays one branch per job attempt.
  */
 
 #pragma once
@@ -24,10 +20,6 @@
 #include <string>
 
 #include "common/hash.hpp"
-
-#ifndef MIMOARCH_CHAOS
-#define MIMOARCH_CHAOS 1
-#endif
 
 namespace mimoarch::exec {
 
@@ -64,8 +56,6 @@ class ChaosError : public std::runtime_error
     {}
 };
 
-#if MIMOARCH_CHAOS
-
 /** Deterministic per-(job, attempt) chaos sampler. */
 class ChaosInjector
 {
@@ -73,10 +63,6 @@ class ChaosInjector
     explicit ChaosInjector(const ChaosConfig &config = {})
         : config_(config)
     {}
-
-    /** True when any injection can fire (compile-time false when
-     *  pruned, so chaos branches in the engine fold away). */
-    bool armed() const { return config_.any(); }
 
     uint32_t delayMs() const { return config_.delayMs; }
 
@@ -88,7 +74,7 @@ class ChaosInjector
     ChaosAction
     sample(uint64_t job_seed, unsigned attempt) const
     {
-        if (!armed())
+        if (!config_.any())
             return ChaosAction::None;
         Fnv64 h;
         h.u64(config_.seed).u64(job_seed).u64(attempt);
@@ -108,23 +94,5 @@ class ChaosInjector
   private:
     ChaosConfig config_;
 };
-
-#else // !MIMOARCH_CHAOS -----------------------------------------------
-
-/** Release shell: never armed, never injects. */
-class ChaosInjector
-{
-  public:
-    explicit ChaosInjector(const ChaosConfig & = {}) {}
-    static constexpr bool armed() { return false; }
-    static constexpr uint32_t delayMs() { return 0; }
-    static constexpr ChaosAction
-    sample(uint64_t, unsigned)
-    {
-        return ChaosAction::None;
-    }
-};
-
-#endif // MIMOARCH_CHAOS
 
 } // namespace mimoarch::exec

@@ -148,7 +148,7 @@ struct ResilientPolicy
     /** Base retry backoff in seconds (doubled per attempt, jittered
      *  deterministically from the job seed, capped at 2 s). */
     double retryBackoffS = 0.010;
-    /** Execution-layer fault injection (pruned in Release builds). */
+    /** Execution-layer fault injection (off unless a rate is set). */
     ChaosConfig chaos{};
     /** Non-empty: journal completed jobs here and skip jobs the
      *  journal already holds (the --resume flag). */

@@ -64,18 +64,6 @@ parseRate(const char *text, const char *flag)
     return v;
 }
 
-void
-requireChaosBuild(const char *flag)
-{
-#if !MIMOARCH_CHAOS
-    fatal(flag, ": this build prunes the chaos injector "
-          "(MIMOARCH_CHAOS=0; use a Debug/RelWithDebInfo or sanitizer "
-          "build for fault-injection campaigns)");
-#else
-    (void)flag;
-#endif
-}
-
 /** Flag value: "--flag VALUE" or "--flag=VALUE". Null when @p arg is
  *  not @p flag; fatal when the value is missing. */
 const char *
@@ -144,26 +132,21 @@ parseSweepArgs(int argc, char **argv)
                                   i))) {
             opt.resilient.failureReportPath = v;
         } else if ((v = flagValue(arg, "--chaos-seed", argc, argv, i))) {
-            requireChaosBuild("--chaos-seed");
             opt.resilient.chaos.seed = parseU64(v, "--chaos-seed");
         } else if ((v = flagValue(arg, "--chaos-exception-rate", argc,
                                   argv, i))) {
-            requireChaosBuild("--chaos-exception-rate");
             opt.resilient.chaos.exceptionRate =
                 parseRate(v, "--chaos-exception-rate");
         } else if ((v = flagValue(arg, "--chaos-delay-rate", argc, argv,
                                   i))) {
-            requireChaosBuild("--chaos-delay-rate");
             opt.resilient.chaos.delayRate =
                 parseRate(v, "--chaos-delay-rate");
         } else if ((v = flagValue(arg, "--chaos-invalid-rate", argc,
                                   argv, i))) {
-            requireChaosBuild("--chaos-invalid-rate");
             opt.resilient.chaos.invalidRate =
                 parseRate(v, "--chaos-invalid-rate");
         } else if ((v = flagValue(arg, "--chaos-delay-ms", argc, argv,
                                   i))) {
-            requireChaosBuild("--chaos-delay-ms");
             opt.resilient.chaos.delayMs =
                 static_cast<uint32_t>(parseU64(v, "--chaos-delay-ms"));
         } else {
@@ -173,8 +156,7 @@ parseSweepArgs(int argc, char **argv)
                   "--fidelity cycle|analytic, --retries N, "
                   "--job-timeout S, "
                   "--max-failures N, --fail-fast, --resume PATH, "
-                  "--failure-report PATH, and --chaos-* flags in "
-                  "fault-injection builds)");
+                  "--failure-report PATH, and --chaos-* flags)");
         }
     }
     return opt;

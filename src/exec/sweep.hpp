@@ -49,8 +49,8 @@ struct SweepOptions
      * Non-empty arms the global telemetry trace buffer for the
      * runner's lifetime and, at destruction, writes a Chrome trace to
      * this path plus a flat metrics sidecar next to it (see
-     * src/telemetry/export.hpp). Ignored (with a warning) when the
-     * telemetry layer is compiled out.
+     * src/telemetry/export.hpp). Arming also turns on the epoch
+     * loop's latency and error histograms (EpochDriver::stepEpoch).
      */
     std::string telemetry;
     /**
@@ -79,11 +79,10 @@ struct SweepOptions
  * --fidelity cycle|analytic. Resilience:
  * --retries N,
  * --job-timeout S, --max-failures N, --fail-fast, --resume PATH,
- * --failure-report PATH. Chaos (fault-injection builds only):
+ * --failure-report PATH. Chaos:
  * --chaos-seed N, --chaos-exception-rate X, --chaos-delay-rate X,
  * --chaos-invalid-rate X, --chaos-delay-ms N. Unknown arguments are
- * fatal (benches take no other arguments), as are --chaos-* flags in
- * builds that prune the injector (MIMOARCH_CHAOS=0).
+ * fatal (benches take no other arguments).
  */
 SweepOptions parseSweepArgs(int argc, char **argv);
 

@@ -3,8 +3,7 @@
  * Fixed-capacity ring buffer used for the core's fetch queue. Replaces
  * std::deque in the per-cycle hot loop: storage is one contiguous
  * allocation sized once at construction, so pushes/pops never touch the
- * heap and indexed access is a single wrap instead of a two-level block
- * lookup.
+ * heap.
  */
 
 #pragma once
@@ -16,11 +15,7 @@
 
 namespace mimoarch {
 
-/**
- * Contiguous FIFO with a hard capacity. Indexing is relative to the
- * logical front: buf[0] is the oldest element, buf[size()-1] the
- * newest, matching how std::deque was used.
- */
+/** Contiguous FIFO with a hard capacity. */
 template <typename T>
 class RingBuffer
 {
@@ -39,9 +34,6 @@ class RingBuffer
     size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
     size_t capacity() const { return buf_.size(); }
-
-    T &operator[](size_t i) { return buf_[wrap(head_ + i)]; }
-    const T &operator[](size_t i) const { return buf_[wrap(head_ + i)]; }
 
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
@@ -62,14 +54,6 @@ class RingBuffer
             panic("RingBuffer::pop_front on empty buffer");
         head_ = wrap(head_ + 1);
         --count_;
-    }
-
-    /** Drop all elements (storage is kept). */
-    void
-    clear()
-    {
-        head_ = 0;
-        count_ = 0;
     }
 
   private:

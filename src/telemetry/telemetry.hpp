@@ -12,29 +12,23 @@
  *     counts the drops instead of growing.
  *   - Thread-safe writes. Sweep workers hammer the same counters and
  *     histograms concurrently; every write path is lock-free.
- *   - Compile-time removable. Building with MIMOARCH_TELEMETRY=0
- *     replaces every type in this header with an empty inline no-op
- *     shell, so instrumented call sites compile to nothing and the
- *     hot path carries no telemetry symbols at all.
+ *   - Cheap when disarmed. Counters always count, but a Span with no
+ *     latency histogram skips the clock while the trace buffer is
+ *     disarmed, and the epoch loop feeds its per-epoch histograms
+ *     only while the buffer is armed (the --telemetry runs that
+ *     export them).
  *   - Off the numeric path. Telemetry only *observes*: no clock
  *     reading or metric value ever feeds back into the controller, so
- *     golden digests and sweep checksums are identical with telemetry
- *     on, off, or compiled out.
+ *     golden digests and sweep checksums are identical with the trace
+ *     armed or disarmed.
  */
 
 #pragma once
 
-#include <cstdint>
-#include <cstddef>
-
-#ifndef MIMOARCH_TELEMETRY
-#define MIMOARCH_TELEMETRY 1
-#endif
-
-#if MIMOARCH_TELEMETRY
-
 #include <atomic>
 #include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -418,129 +412,6 @@ class Span
     uint64_t t0_;
 };
 
-} // namespace mimoarch::telemetry
-
-#else // !MIMOARCH_TELEMETRY ------------------------------------------
-
-// No-op shells with the same surface: instrumented call sites compile
-// unchanged and fold to nothing. Every method is an empty inline, so a
-// telemetry-off binary carries no telemetry code in its hot path.
-
-namespace mimoarch::telemetry {
-
-inline uint64_t nowNs() { return 0; }
-inline uint32_t threadId() { return 0; }
-
-class Counter
-{
-  public:
-    void add(uint64_t = 1) {}
-    uint64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge
-{
-  public:
-    void set(double) {}
-    double value() const { return 0.0; }
-    void reset() {}
-};
-
-struct HistogramSnapshot
-{
-    static constexpr size_t kBuckets = 65;
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint64_t min = 0;
-    uint64_t max = 0;
-    static size_t bucketOf(uint64_t) { return 0; }
-    static uint64_t bucketUpperBound(size_t) { return 0; }
-    void merge(const HistogramSnapshot &) {}
-    uint64_t quantile(double) const { return 0; }
-};
-
-class Histogram
-{
-  public:
-    void record(uint64_t) {}
-    HistogramSnapshot snapshot() const { return {}; }
-    void reset() {}
-};
-
-class Registry
-{
-  public:
-    // Templated so call sites pass names of any type (string literal,
-    // std::string) without constructing anything.
-    template <typename N> Counter &counter(const N &) { return counter_; }
-    template <typename N> Gauge &gauge(const N &) { return gauge_; }
-    template <typename N> Histogram &
-    histogram(const N &)
-    {
-        return histogram_;
-    }
-    void reset() {}
-
-  private:
-    Counter counter_;
-    Gauge gauge_;
-    Histogram histogram_;
-};
-
-inline Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
-
-enum class EventType : uint8_t { Complete, Instant };
-
-struct TraceEvent
-{
-};
-
-class TraceBuffer
-{
-  public:
-    void start(size_t) {}
-    void stop() {}
-    bool enabled() const { return false; }
-    void complete(const char *, const char *, uint64_t, uint64_t,
-                  const char * = nullptr, int64_t = 0)
-    {}
-    void instant(const char *, const char *, uint64_t,
-                 const char * = nullptr, int64_t = 0)
-    {}
-    size_t size() const { return 0; }
-    uint64_t dropped() const { return 0; }
-    void clear() {}
-};
-
-inline TraceBuffer &
-trace()
-{
-    static TraceBuffer t;
-    return t;
-}
-
-class Span
-{
-  public:
-    Span(const char *, const char *, Histogram * = nullptr,
-         const char * = nullptr, int64_t = 0)
-    {}
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-};
-
-} // namespace mimoarch::telemetry
-
-#endif // MIMOARCH_TELEMETRY
-
-namespace mimoarch::telemetry {
-
 /**
  * Trace slots to arm for a run expected to record about
  * @p total_epochs epoch events. An epoch contributes one span slot;
@@ -548,8 +419,8 @@ namespace mimoarch::telemetry {
  * solves) and supervisor instants, and the fixed slack covers
  * setup/teardown events on tiny runs. Sizing the buffer from the
  * workload instead of a fixed worst-case preallocation keeps the
- * telemetry-ON RSS proportional to the sweep actually being run
- * (tests/telemetry/rss_guard_test holds it to <= 2x the OFF build).
+ * armed RSS proportional to the sweep actually being run
+ * (tests/telemetry/rss_guard_test holds it to <= 2x a disarmed run).
  */
 constexpr size_t
 traceCapacityForEpochs(size_t total_epochs)

@@ -168,8 +168,6 @@ TEST(AllocationFree, HarnessEpochIsAllocationFreeInSteadyState)
  * an armed trace buffer must add ZERO steady-state allocations. The
  * buffer is sized up front (that allocation happens here, outside the
  * measured window); every epoch then claims preallocated slots only.
- * Compiles and passes with MIMOARCH_TELEMETRY=0 too, where the calls
- * below are no-ops and this collapses to the test above.
  */
 TEST(AllocationFree, TelemetryInstrumentedEpochLoopStaysAllocationFree)
 {

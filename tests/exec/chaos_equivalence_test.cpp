@@ -8,10 +8,6 @@
  * reference. This is the contract of DESIGN.md §11: retries re-derive
  * everything from jobSeed(JobKey), so faults perturb scheduling, never
  * results.
- *
- * In builds that prune the injector (MIMOARCH_CHAOS=0) the chaos
- * sweeps run fault-free; the equivalences still hold, so the test is
- * valid — just vacuous on the injection side — in every build type.
  */
 
 #include <gtest/gtest.h>
@@ -147,9 +143,7 @@ TEST(ChaosEquivalence, FaultedSweepsDigestIdenticalToCleanAtAnyWidth)
         ASSERT_TRUE(chaotic.report.complete())
             << "chaos exhausted a job's retry budget at " << workers
             << " workers";
-        if (exec::ChaosInjector(chaosPolicy().chaos).armed()) {
-            EXPECT_GT(chaotic.report.chaosInjections, 0u);
-        }
+        EXPECT_GT(chaotic.report.chaosInjections, 0u);
         for (size_t i = 0; i < n; ++i) {
             EXPECT_TRUE(chaotic.results[i] == clean.results[i])
                 << kJobs[i].first << "/" << kJobs[i].second << " at "

@@ -381,7 +381,6 @@ TEST(Resilient, ResultsAreWorkerCountInvariantUnderRetries)
     }
 }
 
-#if MIMOARCH_CHAOS
 TEST(Chaos, SampleIsAPureFunctionOfSeedJobAndAttempt)
 {
     ChaosConfig cfg;
@@ -452,7 +451,6 @@ TEST(Chaos, InjectedSweepDigestsIdenticalToClean)
     EXPECT_GT(outcome.report.chaosInjections, 0u);
     EXPECT_EQ(outcome.results, reference);
 }
-#endif // MIMOARCH_CHAOS
 
 } // namespace
 } // namespace mimoarch::exec

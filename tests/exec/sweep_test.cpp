@@ -68,7 +68,6 @@ TEST(ParseSweepArgs, ParsesResilienceFlags)
     EXPECT_EQ(opt.resilient.failureReportPath, "rep.json");
 }
 
-#if MIMOARCH_CHAOS
 TEST(ParseSweepArgs, ParsesChaosFlags)
 {
     std::vector<std::string> args = {
@@ -85,7 +84,6 @@ TEST(ParseSweepArgs, ParsesChaosFlags)
     EXPECT_EQ(opt.resilient.chaos.delayMs, 20u);
     EXPECT_TRUE(opt.resilient.chaos.any());
 }
-#endif
 
 TEST(SweepRunner, ReportsAtLeastOneJob)
 {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <random>
 #include <tuple>
@@ -37,7 +38,6 @@ class NaiveCore
           robSizeActive_(config.robSizeMax),
           robSizeTarget_(config.robSizeMax)
     {
-        rob_.reset(config_.robSizeMax);
         fetchQueue_.reset(size_t{2} * config_.fetchWidth *
                               config_.frontendDepth +
                           config_.fetchWidth);
@@ -365,7 +365,7 @@ class NaiveCore
     uint64_t now_ = 0;
     uint64_t nextSeq_ = 1;
     RingBuffer<FetchedOp> fetchQueue_;
-    RingBuffer<RobEntry> rob_;
+    std::deque<RobEntry> rob_; //!< Indexed oldest-first, like the scan.
     uint64_t robHeadSeq_ = 1;
     size_t issuedPrefix_ = 0;
     unsigned loadsInFlight_ = 0;

@@ -1,9 +1,7 @@
 /**
  * @file
  * RingBuffer unit tests: wrap-around correctness against a deque
- * reference, in-place updates through logical indices while the front
- * retires (an issued-prefix pattern), and the full/empty edge behavior
- * (hard panics).
+ * reference and the full/empty edge behavior (hard panics).
  */
 
 #include <gtest/gtest.h>
@@ -53,8 +51,6 @@ TEST(RingBufferTest, FifoOrderAcrossWrap)
     rb.push_back(102);
     rb.push_back(103); // fills to capacity across the wrap point
     EXPECT_EQ(rb.size(), 4u);
-    for (size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(rb[i], 100 + static_cast<int>(i));
     EXPECT_EQ(rb.front(), 100);
     rb.pop_front();
     EXPECT_EQ(rb.front(), 101);
@@ -63,9 +59,8 @@ TEST(RingBufferTest, FifoOrderAcrossWrap)
 
 TEST(RingBufferTest, IndexingMatchesDequeReference)
 {
-    // Randomized push/pop schedule, every element checked through
-    // operator[] after each step — the access pattern the per-cycle
-    // ROB and fetch-queue loops use.
+    // Randomized push/pop schedule checked step by step against a
+    // deque: the push/pop/front pattern of the per-cycle fetch queue.
     RingBuffer<uint64_t> rb;
     std::deque<uint64_t> ref;
     const size_t cap = 16;
@@ -87,67 +82,10 @@ TEST(RingBufferTest, IndexingMatchesDequeReference)
             ref.pop_front();
         }
         ASSERT_EQ(rb.size(), ref.size());
-        for (size_t i = 0; i < ref.size(); ++i)
-            ASSERT_EQ(rb[i], ref[i]) << "index " << i;
-    }
-}
-
-TEST(RingBufferTest, IssuedPrefixPattern)
-{
-    // Entries [0, issued) are in flight, [issued, size) are waiting.
-    // Retirement pops the front and shifts the prefix; the logical
-    // indices must stay consistent through wrap-around.
-    struct Op
-    {
-        uint64_t seq = 0;
-        bool issued = false;
-    };
-    RingBuffer<Op> rob;
-    rob.reset(6);
-    uint64_t seq = 0;
-    uint64_t retired = 0;
-    for (int cycle = 0; cycle < 200; ++cycle) {
-        // Dispatch up to capacity.
-        while (rob.size() < rob.capacity())
-            rob.push_back(Op{seq++, false});
-        // Issue the first two waiting entries.
-        size_t issued_this_cycle = 0;
-        for (size_t i = 0; i < rob.size() && issued_this_cycle < 2; ++i) {
-            if (!rob[i].issued) {
-                rob[i].issued = true;
-                ++issued_this_cycle;
-            }
-        }
-        // Retire from the front while issued. The issued flags must
-        // form a prefix: a waiting op never precedes an issued one.
-        bool seen_waiting = false;
-        for (size_t i = 0; i < rob.size(); ++i) {
-            if (!rob[i].issued)
-                seen_waiting = true;
-            else
-                ASSERT_FALSE(seen_waiting)
-                    << "issued op after a waiting op at index " << i;
-        }
-        while (!rob.empty() && rob.front().issued) {
-            ASSERT_EQ(rob.front().seq, retired);
-            ++retired;
-            rob.pop_front();
+        if (!ref.empty()) {
+            ASSERT_EQ(rb.front(), ref.front());
         }
     }
-    EXPECT_GT(retired, 0u);
-}
-
-TEST(RingBufferTest, ClearKeepsCapacity)
-{
-    RingBuffer<int> rb;
-    rb.reset(4);
-    rb.push_back(1);
-    rb.push_back(2);
-    rb.clear();
-    EXPECT_TRUE(rb.empty());
-    EXPECT_EQ(rb.capacity(), 4u);
-    rb.push_back(7);
-    EXPECT_EQ(rb.front(), 7);
 }
 
 TEST(RingBufferDeathTest, OverflowPanics)
