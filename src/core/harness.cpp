@@ -157,7 +157,7 @@ EpochDriver::begin(const KnobSettings &initial)
     opt_.reset();
     if (config_.useOptimizer)
         opt_ = std::make_unique<Optimizer>(controller_, config_.optimizer);
-    phases_.emplace(config_.phaseDetector);
+    phases_.emplace();
 
     errIps_ = 0.0;
     errPower_ = 0.0;
@@ -223,17 +223,12 @@ EpochDriver::stepEpoch()
         }
     }
 
-    // Optimizer search management: the first invocation starts a
-    // search; afterwards only a phase change (or the optional
-    // periodic restart) triggers a new one (§V).
+    // Optimizer search management: the first epoch starts a search;
+    // afterwards only a phase change triggers a new one (§V). The
+    // detector observes every optimizer epoch, to advance its EWMA.
     if (opt_ && y_finite) {
-        const bool phase_change =
-            config_.usePhaseDetector &&
-            phases_->observe(obs_.ipc, obs_.l2Mpki);
-        const bool periodic = t == 0 ||
-            (config_.optimizerPeriodicRestart &&
-             t % config_.optimizerPeriodEpochs == 0);
-        if (phase_change || (periodic && !opt_->searching()))
+        const bool phase_change = phases_->observe(obs_.ipc, obs_.l2Mpki);
+        if (phase_change || t == 0)
             opt_->startSearch(y);
         opt_->observe(y);
     }

@@ -118,18 +118,14 @@ struct DriverConfig
      */
     PlantFidelity fidelity = PlantFidelity::CycleLevel;
 
+    /**
+     * Layer the optimizer over the controller. A search starts at the
+     * first epoch and then only when the phase detector sees a phase
+     * change (§V: "A new search will start only when the controller
+     * detects that the application changes phases").
+     */
     bool useOptimizer = false;
     OptimizerConfig optimizer{};
-    uint64_t optimizerPeriodEpochs = 200; //!< 10 ms.
-    /**
-     * Restart a completed search every optimizer period. The paper's
-     * §V: "A new search will start only when the controller detects
-     * that the application changes phases", so this defaults to off
-     * (the period then only paces the very first search).
-     */
-    bool optimizerPeriodicRestart = false;
-    bool usePhaseDetector = true;
-    PhaseDetectorConfig phaseDetector{};
 
     /**
      * Optional cooperative cancellation (not owned; null = never

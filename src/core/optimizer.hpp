@@ -7,9 +7,11 @@
  * repeatedly proposes new (IPS0, P0) reference pairs — "Up" (higher IPS
  * at slightly higher power) or "Down" (slightly lower IPS at much lower
  * power) — lets the base controller converge, measures the achieved
- * metric, and keeps or reverses direction. At most MaxTries trials per
- * search; no backtracking. A new search starts on the optimizer period
- * (10 ms) or on a phase change.
+ * metric, and keeps or reverses direction. At most maxTries trials per
+ * search; no backtracking. A search starts at the first epoch and then
+ * only on a phase change (§V). Two deviations from Table III: maxTries
+ * is 16 where the paper says 10, and there is no restart every 10 ms
+ * (EXPERIMENTS.md, "Known substrate deviations").
  *
  * The same optimizer drives MIMO and Decoupled unmodified; only the
  * exponent k parameterizes the search (§VIII-F).

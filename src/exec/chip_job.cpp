@@ -6,7 +6,6 @@
 #include "common/logging.hpp"
 #include "core/controllers.hpp"
 #include "exec/plant_factory.hpp"
-#include "robustness/supervisor.hpp"
 #include "workload/spec_suite.hpp"
 
 namespace mimoarch::exec {
@@ -16,27 +15,11 @@ namespace {
 std::unique_ptr<ArchController>
 makeCoreController(const ChipJobConfig &cfg, const KnobSpace &knobs)
 {
-    const MimoControllerDesign flow(knobs, *cfg.cfg, cfg.proc);
-    std::unique_ptr<MimoArchController> primary =
+    const MimoControllerDesign flow(knobs, *cfg.cfg);
+    std::unique_ptr<MimoArchController> mimo =
         flow.buildController(*cfg.design);
-    if (!cfg.supervised) {
-        primary->setReference(cfg.cfg->ipsReference,
-                              cfg.cfg->powerReference);
-        return primary;
-    }
-    auto fallback = std::make_unique<HeuristicArchController>(
-        knobs, HeuristicArchController::Tuning{}, cfg.cfg->ipsReference,
-        cfg.cfg->powerReference);
-    // Table III's best-static configuration as the SafePin settings.
-    KnobSettings safe;
-    safe.freqLevel = 8;
-    safe.cacheSetting = 2;
-    safe.robPartitions = 3;
-    auto sup = std::make_unique<SupervisedController>(
-        std::move(primary), std::move(fallback), safe,
-        SensorSanitizer::archDefaults());
-    sup->setReference(cfg.cfg->ipsReference, cfg.cfg->powerReference);
-    return sup;
+    mimo->setReference(cfg.cfg->ipsReference, cfg.cfg->powerReference);
+    return mimo;
 }
 
 } // namespace
@@ -66,7 +49,7 @@ runChipJob(const ChipJobConfig &cfg, const JobContext &ctx)
         // stays a pure function of the job key.
         const uint64_t salt = splitmix64(seed ^ (0xC0FFEEULL + i));
         core.plant = makePlant(Spec2006Suite::byName(cfg.apps[i]), knobs,
-                               *cfg.cfg, cfg.proc, salt);
+                               *cfg.cfg, {}, salt);
         core.controller = makeCoreController(cfg, knobs);
         cores.push_back(std::move(core));
     }

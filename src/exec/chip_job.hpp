@@ -40,10 +40,7 @@ struct ChipJobConfig
 
     size_t epochs = 600;
     size_t errorSkipEpochs = 200;
-    /** Wrap each core's MIMO in the supervised robustness stack. */
-    bool supervised = false;
     KnobSettings initial{};
-    ProcessorConfig proc{};
 };
 
 /** Journalable summary of one chip job (trivially copyable). */

@@ -19,8 +19,7 @@ fitArx(const Matrix &u_physical, const Matrix &y_physical,
     const size_t t_len = u_physical.rows();
     const size_t n_in = u_physical.cols();
     const size_t n_out = y_physical.cols();
-    const size_t n_u_terms = config.directFeedthrough ? k + 1 : k;
-    const size_t n_reg = k * n_out + n_u_terms * n_in;
+    const size_t n_reg = k * n_out + (k + 1) * n_in;
     if (t_len < k + n_reg + 8)
         fatal("fitArx: record too short (", t_len, " samples) for ",
               n_reg, " regressors");
@@ -32,37 +31,17 @@ fitArx(const Matrix &u_physical, const Matrix &y_physical,
     const Matrix u = model.inputScaling.toScaled(u_physical);
     const Matrix y = model.outputScaling.toScaled(y_physical);
 
-    // Select regression rows t = k .. T-1, optionally skipping epochs
-    // whose outputs are contaminated by a knob-transition stall. The
-    // glitch hits the epoch of the change itself, so exclude rows
-    // whose *current* input differs from the previous epoch's, but
-    // keep the rows after it (they carry the post-change dynamics).
-    std::vector<size_t> selected;
-    selected.reserve(t_len - k);
-    for (size_t t = k; t < t_len; ++t) {
-        bool masked = false;
-        if (config.maskTransitions) {
-            for (size_t m = 0; m < n_in && !masked; ++m)
-                if (u_physical(t, m) != u_physical(t - 1, m))
-                    masked = true;
-        }
-        if (!masked)
-            selected.push_back(t);
-    }
-    if (selected.size() < n_reg + 8)
-        fatal("fitArx: too few usable rows after transition masking");
-
-    const size_t rows = selected.size();
+    // One regression row per epoch t = k .. T-1.
+    const size_t rows = t_len - k;
     Matrix phi(rows, n_reg);
     Matrix target(rows, n_out);
     for (size_t r = 0; r < rows; ++r) {
-        const size_t t = selected[r];
+        const size_t t = r + k;
         size_t col = 0;
         for (size_t i = 1; i <= k; ++i)
             for (size_t o = 0; o < n_out; ++o)
                 phi(r, col++) = y(t - i, o);
-        const size_t j0 = config.directFeedthrough ? 0 : 1;
-        for (size_t j = j0; j <= k; ++j)
+        for (size_t j = 0; j <= k; ++j)
             for (size_t m = 0; m < n_in; ++m)
                 phi(r, col++) = u(t - j, m);
         for (size_t o = 0; o < n_out; ++o)
@@ -82,8 +61,7 @@ fitArx(const Matrix &u_physical, const Matrix &y_physical,
         row += n_out;
     }
     model.bCoef.assign(k + 1, Matrix(n_out, n_in));
-    const size_t j0 = config.directFeedthrough ? 0 : 1;
-    for (size_t j = j0; j <= k; ++j) {
+    for (size_t j = 0; j <= k; ++j) {
         for (size_t src = 0; src < n_in; ++src)
             for (size_t out = 0; out < n_out; ++out)
                 model.bCoef[j](out, src) = theta(row + src, out);

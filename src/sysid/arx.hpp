@@ -28,15 +28,6 @@ struct ArxConfig
 {
     size_t order = 2;     //!< k: output/input history depth.
     double ridge = 1e-6;  //!< Regularization on the regression.
-    bool directFeedthrough = true; //!< Include B0 (u(t) affects y(t)).
-    /**
-     * Drop regression rows whose input changed in the previous epoch
-     * (knob transitions stall the pipeline; the glitch can bias the
-     * short-lag coefficients). Off by default: with reasonable hold
-     * times the bias is small, and masking starves the DC-gain
-     * estimate.
-     */
-    bool maskTransitions = false;
 };
 
 /** The fitted ARX coefficient matrices (scaled coordinates). */

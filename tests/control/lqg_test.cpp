@@ -332,6 +332,63 @@ TEST(Lqg, StoredFloatsMatchOverheadClaim)
     EXPECT_LT(ctrl.storedFloats(), 100u);
 }
 
+/**
+ * micro_overhead's BM_LqgControllerStep set-up: a representative
+ * identified dimension-4 model with the bench's weights, driven by a
+ * fixed measurement. Returns the sum of u[0] over 500 000 steps taken
+ * after 1000 warm-up steps.
+ */
+double
+dim4StepChecksum(const InputLimits &lim, const Matrix &reference)
+{
+    StateSpaceModel m;
+    m.a = Matrix{{0.55, 0.2, 0.1, 0.0},
+                 {0.1, 0.5, 0.0, 0.1},
+                 {0.05, 0.0, 0.4, 0.1},
+                 {0.0, 0.05, 0.1, 0.35}};
+    m.b = Matrix{{0.4, 0.1}, {0.2, 0.3}, {0.1, 0.05}, {0.05, 0.1}};
+    m.c = Matrix{{1.0, 0.0, 0.2, 0.1}, {0.0, 1.0, 0.1, 0.2}};
+    m.d = Matrix{{0.1, 0.02}, {0.15, 0.01}};
+    m.qn = Matrix::identity(4) * 1e-3;
+    m.rn = Matrix::identity(2) * 1e-2;
+    m.inputScaling = SignalScaling::identity(2);
+    m.outputScaling = SignalScaling::identity(2);
+    LqgWeights w;
+    w.outputWeights = {10.0, 10000.0};
+    w.inputWeights = {1000.0, 50.0};
+    LqgServoController ctrl(m, w, lim);
+    ctrl.setReference(reference);
+    const Matrix y = Matrix::vector({1.8, 1.9});
+    for (int i = 0; i < 1000; ++i)
+        ctrl.step(y);
+    double sum = 0.0;
+    for (int i = 0; i < 500000; ++i)
+        sum += ctrl.step(y)[0];
+    return sum;
+}
+
+// Bit-exact pins of the step's arithmetic over a long run: any change
+// to what the step computes, or in what order, moves these sums.
+
+TEST(Lqg, SaturatedStepChecksumIsPinned)
+{
+    // Reference off the measurement with tight limits: an input clips
+    // every step, so the anti-windup branch runs throughout.
+    EXPECT_EQ(dim4StepChecksum(paperLimits(), Matrix::vector({2.0, 2.0})),
+              974022.82798527787);
+}
+
+TEST(Lqg, SteadyStepChecksumIsPinned)
+{
+    // Reference equal to the measurement with wide limits: zero error,
+    // and the commands settle at an interior fixed point.
+    InputLimits lim;
+    lim.lo = {-50.0, -50.0};
+    lim.hi = {50.0, 50.0};
+    EXPECT_EQ(dim4StepChecksum(lim, Matrix::vector({1.8, 1.9})),
+              187527.02400202927);
+}
+
 TEST(Lqg, ControllerRealizationIsStrictlyProper)
 {
     const StateSpaceModel plant = coupledPlant();

@@ -1,11 +1,18 @@
 /**
  * @file
- * Golden-trace regression tests: fixed-seed runs of mcf, lbm and
- * povray under the MIMO and Heuristic architectures must reproduce the
+ * Golden-trace regression tests: fixed-seed runs must reproduce the
  * recorded RunSummary and EpochTrace digests bit-for-bit. This pins
  * the determinism contract end to end — any change to the plant, the
- * design flow, the controllers, or the harness that moves a single
- * bit of any series shows up here.
+ * design flow, the controllers, the optimizer or the harness that
+ * moves a single bit of any series shows up here. The cases:
+ *
+ *   - mcf, lbm and povray under MIMO and Heuristic: 2-input tracking
+ *     from the paper's off-target start;
+ *   - the Fig. 9 loop (MIMO + optimizer, k = 2, from Table III's
+ *     baseline settings) on gamess at cycle level, and on milc at
+ *     analytic fidelity for 3000 epochs, in which the phase detector
+ *     restarts the search three times;
+ *   - 3-input MIMO tracking (Fig. 10's knob space) on povray.
  *
  * Since the allocation-free refactor, the controller and harness hot
  * paths run through MatrixT's in-place kernels (mulInto, gemv, axpy,
@@ -30,15 +37,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/controllers.hpp"
 #include "core/design_flow.hpp"
 #include "core/harness.hpp"
 #include "exec/design_cache.hpp"
+#include "exec/plant_factory.hpp"
 #include "workload/spec_suite.hpp"
 
 namespace mimoarch {
@@ -61,17 +69,31 @@ struct Digests
 {
     uint64_t summary = 0;
     uint64_t trace = 0;
+    size_t retargets = 0; //!< Epochs whose IPS reference moved.
 };
 
-/** One fixed-seed serial run; returns its two digests. */
-Digests
-runCase(const std::string &app, const std::string &arch)
+/** One golden run; the defaults are the original six cases' loop. */
+struct Case
 {
-    const ExperimentConfig cfg = goldenConfig();
-    const KnobSpace knobs(false);
+    const char *app;
+    const char *arch; //!< Golden-file label: "MIMO", "Heuristic", ...
+    bool heuristic = false;
+    bool withRob = false;   //!< Fig. 10's 3-input knob space.
+    bool optimizer = false; //!< MIMO + optimizer, k = 2 (Fig. 9).
+    PlantFidelity fidelity = PlantFidelity::CycleLevel;
+    size_t epochs = 600;
+};
+
+/** One fixed-seed serial run: its two digests and retarget count. */
+Digests
+runCase(const Case &c)
+{
+    ExperimentConfig cfg = goldenConfig();
+    cfg.fidelity = c.fidelity;
+    const KnobSpace knobs(c.withRob);
 
     std::unique_ptr<ArchController> owned;
-    if (arch == "MIMO") {
+    if (!c.heuristic) {
         const auto design =
             exec::DesignCache::instance().design(knobs, cfg);
         const MimoControllerDesign flow(knobs, cfg);
@@ -83,22 +105,46 @@ runCase(const std::string &app, const std::string &arch)
     }
     owned->setReference(cfg.ipsReference, cfg.powerReference);
 
-    SimPlant plant(Spec2006Suite::byName(app), knobs);
+    const auto plant =
+        exec::makePlant(Spec2006Suite::byName(c.app), knobs, cfg);
     DriverConfig dcfg;
-    dcfg.epochs = 600;
+    dcfg.epochs = c.epochs;
     dcfg.errorSkipEpochs = 100;
-    EpochDriver driver(plant, *owned, dcfg);
+    dcfg.useOptimizer = c.optimizer;
+    dcfg.optimizer.metricExponent = 2;
+    dcfg.fidelity = c.fidelity;
+    EpochDriver driver(*plant, *owned, dcfg);
     KnobSettings init;
-    init.freqLevel = 3;
-    init.cacheSetting = 1;
+    if (c.optimizer) {
+        // Table III's best-static configuration, as fig09 starts.
+        init.freqLevel = 8;
+        init.cacheSetting = 2;
+        init.robPartitions = 3;
+    } else {
+        init.freqLevel = 3;
+        init.cacheSetting = 1;
+    }
     const RunSummary sum = driver.run(init);
-    return {digest(sum), digest(driver.trace())};
+    const std::vector<double> &ref = driver.trace().refIps;
+    size_t retargets = 0;
+    for (size_t t = 1; t < ref.size(); ++t)
+        retargets += ref[t] != ref[t - 1];
+    return {digest(sum), digest(driver.trace()), retargets};
 }
 
-const std::vector<std::pair<std::string, std::string>> kCases = {
-    {"mcf", "MIMO"},     {"mcf", "Heuristic"},
-    {"lbm", "MIMO"},     {"lbm", "Heuristic"},
-    {"povray", "MIMO"},  {"povray", "Heuristic"},
+// Append new cases at the end: the golden file is keyed by app/arch,
+// and its existing lines stay byte-identical.
+const std::vector<Case> kCases = {
+    {.app = "mcf", .arch = "MIMO"},
+    {.app = "mcf", .arch = "Heuristic", .heuristic = true},
+    {.app = "lbm", .arch = "MIMO"},
+    {.app = "lbm", .arch = "Heuristic", .heuristic = true},
+    {.app = "povray", .arch = "MIMO"},
+    {.app = "povray", .arch = "Heuristic", .heuristic = true},
+    {.app = "gamess", .arch = "MIMO+opt", .optimizer = true},
+    {.app = "milc", .arch = "MIMO+opt@analytic", .optimizer = true,
+     .fidelity = PlantFidelity::Analytic, .epochs = 3000},
+    {.app = "povray", .arch = "MIMO-3input", .withRob = true},
 };
 
 std::map<std::string, Digests>
@@ -129,9 +175,9 @@ TEST(GoldenTrace, SerialRunsReproduceRecordedDigests)
             << "# Fixed-seed serial runs (see golden_trace_test.cpp);\n"
             << "# regenerate with MIMOARCH_UPDATE_GOLDEN=1 after an\n"
             << "# intentional numeric change.\n";
-        for (const auto &[app, arch] : kCases) {
-            const Digests d = runCase(app, arch);
-            out << app << " " << arch << " " << std::hex << d.summary
+        for (const Case &c : kCases) {
+            const Digests d = runCase(c);
+            out << c.app << " " << c.arch << " " << std::hex << d.summary
                 << " " << d.trace << std::dec << "\n";
         }
         GTEST_SKIP() << "golden digests rewritten to " << kGoldenFile;
@@ -142,14 +188,20 @@ TEST(GoldenTrace, SerialRunsReproduceRecordedDigests)
         << "incomplete golden file " << kGoldenFile
         << " — regenerate with MIMOARCH_UPDATE_GOLDEN=1";
 
-    for (const auto &[app, arch] : kCases) {
-        const Digests got = runCase(app, arch);
-        const auto it = golden.find(app + "/" + arch);
-        ASSERT_NE(it, golden.end()) << app << "/" << arch;
+    for (const Case &c : kCases) {
+        const std::string name = std::string(c.app) + "/" + c.arch;
+        const Digests got = runCase(c);
+        const auto it = golden.find(name);
+        ASSERT_NE(it, golden.end()) << name;
         EXPECT_EQ(got.summary, it->second.summary)
-            << app << "/" << arch << " RunSummary drifted";
+            << name << " RunSummary drifted";
         EXPECT_EQ(got.trace, it->second.trace)
-            << app << "/" << arch << " EpochTrace drifted";
+            << name << " EpochTrace drifted";
+        // An optimizer case whose search never moves the reference
+        // would pin nothing the tracking cases do not.
+        if (c.optimizer) {
+            EXPECT_GT(got.retargets, 0u) << name << " never retargeted";
+        }
     }
 }
 
@@ -157,12 +209,12 @@ TEST(GoldenTrace, RepeatedRunsAreBitIdenticalWithinProcess)
 {
     // Independent of the recorded file: two fresh runs of the same
     // case must agree exactly (no hidden global state).
-    const Digests a = runCase("mcf", "MIMO");
-    const Digests b = runCase("mcf", "MIMO");
+    const Digests a = runCase(kCases[0]);
+    const Digests b = runCase(kCases[0]);
     EXPECT_EQ(a.summary, b.summary);
     EXPECT_EQ(a.trace, b.trace);
-    const Digests h1 = runCase("povray", "Heuristic");
-    const Digests h2 = runCase("povray", "Heuristic");
+    const Digests h1 = runCase(kCases[5]);
+    const Digests h2 = runCase(kCases[5]);
     EXPECT_EQ(h1.summary, h2.summary);
     EXPECT_EQ(h1.trace, h2.trace);
 }

@@ -1,11 +1,12 @@
 /**
  * @file
  * Overhead-budget guardrails for the telemetry primitives. The real
- * budget is enforced by bench/micro_overhead and the hotpath bench's
- * ns/step trajectory; these tests only catch order-of-magnitude
- * regressions (an accidental lock, allocation, or syscall on the
- * record path), so the bounds are deliberately generous — hundreds of
- * times the expected cost — to stay robust on loaded CI machines.
+ * cost is measured by bench/micro_overhead and by loopbench's
+ * per-layer trace (core.harness_self_ns); these tests only catch
+ * order-of-magnitude regressions (an accidental lock, allocation, or
+ * syscall on the record path), so the bounds are deliberately
+ * generous — hundreds of times the expected cost — to stay robust on
+ * loaded CI machines.
  */
 
 #include <gtest/gtest.h>

@@ -36,7 +36,7 @@ peakRssMb()
     return static_cast<double>(ru.ru_maxrss) / 1024.0; // KiB on Linux
 }
 
-/** One 6-app fixed-knob sweep (the hotpath bench's shape, shorter). */
+/** One serial 6-app sweep of fixed-knob runs, @p epochs each. */
 void
 runSixAppSweep(size_t epochs)
 {
