@@ -7,6 +7,10 @@
  * exactly as the paper does.
  *
  * One job per application (3 runs each), sharded with --jobs N.
+ *
+ * Exit status is the paper-shape verdict: 0 when MIMO's
+ * responsive-average IPS error is below both Heuristic's and
+ * Decoupled's, 1 otherwise.
  */
 
 #include "bench_common.hpp"
@@ -117,5 +121,11 @@ main(int argc, char **argv)
                 "MIMO (7%%) < Heuristic (13%%) < Decoupled (24%%); all "
                 "architectures track power; non-responsive apps look "
                 "similar everywhere.\n");
-    return 0;
+    const double mimo_ips = resp[0].ips / resp[0].n;
+    const bool pass = mimo_ips < resp[1].ips / resp[1].n &&
+                      mimo_ips < resp[2].ips / resp[2].n;
+    std::printf("# verdict: %s (responsive-average IPS error: MIMO below "
+                "Heuristic and Decoupled)\n",
+                pass ? "PASS" : "FAIL");
+    return pass ? 0 : 1;
 }

@@ -83,6 +83,11 @@ class MimoControllerDesign
     /**
      * Run the full flow. @p state_dimension overrides the config's
      * (used by the Fig. 7 model-dimension sweep); pass 0 to use it.
+     * The training and validation records are collected concurrently
+     * on short-lived threads (up to one per hardware thread), each
+     * into its own slot; the fit, validation and RSA then run on the
+     * calling thread in record order, so the result is bit-identical
+     * to a serial flow. Each record is a "sysid.record" trace span.
      */
     MimoDesignResult design(const std::vector<AppSpec> &training,
                             const std::vector<AppSpec> &validation,
@@ -95,7 +100,9 @@ class MimoControllerDesign
     /**
      * Identify the two SISO models for the Decoupled architecture:
      * cache -> IPS (frequency fixed at the baseline) and
-     * frequency -> power (cache fixed at full size).
+     * frequency -> power (cache fixed at full size). Its two channels
+     * x training-app records are collected concurrently, like
+     * design()'s, and each channel's records are fitted in app order.
      */
     std::pair<StateSpaceModel, StateSpaceModel>
     identifySisoModels(const std::vector<AppSpec> &training) const;

@@ -8,8 +8,11 @@
  * so its result is a pure function of (knob space, ExperimentConfig,
  * ProcessorConfig) — exactly what this cache keys on. Concurrent
  * requests for the same key block behind one computation; distinct
- * keys compute in parallel. Replaces the ad-hoc function-local statics
- * that used to live in bench/bench_common.hpp.
+ * keys compute in parallel. The computing thread collects the flow's
+ * identification records on short-lived threads of its own, so a
+ * request from inside a ThreadPool worker never waits on tasks queued
+ * behind it. Replaces the ad-hoc function-local statics that used to
+ * live in bench/bench_common.hpp.
  */
 
 #pragma once
@@ -47,7 +50,7 @@ class DesignCache
 
     /**
      * Memoized MimoControllerDesign::design() on the paper's training/
-     * validation split. The key is (inputs, cfg.fingerprint(),
+     * validation split. The key is (inputs, cfg.designFingerprint(),
      * proc_tag); pass a unique @p proc_tag when @p proc is not
      * default-constructed — the ProcessorConfig itself is not hashed.
      */

@@ -1,14 +1,17 @@
 /**
  * @file
  * DesignCache tests: one computation per key no matter how many
- * threads ask at once, distinct keys get distinct entries, clear()
- * leaves outstanding results valid, and ExperimentConfig::fingerprint()
- * actually discriminates configurations.
+ * threads ask at once, distinct keys get distinct entries, designs
+ * computed from inside pool workers equal solo ones bit for bit,
+ * clear() leaves outstanding results valid, and
+ * ExperimentConfig::fingerprint() actually discriminates
+ * configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <vector>
 
 #include "exec/design_cache.hpp"
@@ -45,6 +48,58 @@ TEST(DesignCache, SingleComputationPerKeyUnderContention)
     for (size_t i = 0; i < kRequests; ++i) {
         ASSERT_TRUE(got[i]) << i;
         EXPECT_EQ(got[i].get(), got[0].get()) << i;
+    }
+}
+
+/** Same shape and the same double bit patterns. */
+bool
+bitEqual(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(double)) == 0;
+}
+
+bool
+bitEqual(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DesignCache, ConcurrentDesignsMatchSolo)
+{
+    // Eight pool workers ask for two distinct design() keys at once.
+    // Each computing worker collects its records on threads of its
+    // own, so it never waits on a task queued behind it in the pool.
+    const ExperimentConfig cfg = tinyConfig();
+    const KnobSpace knobs[2] = {KnobSpace(false), KnobSpace(true)};
+    constexpr size_t kRequests = 8;
+    DesignCache cache;
+    std::vector<std::shared_ptr<const MimoDesignResult>> got(kRequests);
+    ThreadPool pool(8);
+    for (size_t i = 0; i < kRequests; ++i)
+        pool.submit([&cache, &cfg, &knobs, &got, i] {
+            got[i] = cache.design(knobs[i % 2], cfg);
+        });
+    pool.wait();
+    EXPECT_EQ(cache.designComputations(), 2ul);
+
+    for (size_t k = 0; k < 2; ++k) {
+        DesignCache fresh;
+        const auto solo = fresh.design(knobs[k], cfg);
+        for (size_t i = k; i < kRequests; i += 2) {
+            ASSERT_TRUE(got[i]) << i;
+            const StateSpaceModel &m = got[i]->model;
+            EXPECT_TRUE(bitEqual(m.a, solo->model.a)) << i;
+            EXPECT_TRUE(bitEqual(m.b, solo->model.b)) << i;
+            EXPECT_TRUE(bitEqual(m.c, solo->model.c)) << i;
+            EXPECT_TRUE(bitEqual(m.d, solo->model.d)) << i;
+            EXPECT_TRUE(bitEqual(got[i]->weights.outputWeights,
+                                 solo->weights.outputWeights)) << i;
+            EXPECT_TRUE(bitEqual(got[i]->weights.inputWeights,
+                                 solo->weights.inputWeights)) << i;
+        }
     }
 }
 

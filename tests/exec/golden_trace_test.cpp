@@ -12,7 +12,9 @@
  *     baseline settings) on gamess at cycle level, and on milc at
  *     analytic fidelity for 3000 epochs, in which the phase detector
  *     restarts the search three times;
- *   - 3-input MIMO tracking (Fig. 10's knob space) on povray.
+ *   - 3-input MIMO tracking (Fig. 10's knob space) on povray;
+ *   - Decoupled tracking (the two SISO loops of Figs. 11 and 12) on
+ *     povray from the off-target start, which pins identifySisoModels.
  *
  * Since the allocation-free refactor, the controller and harness hot
  * paths run through MatrixT's in-place kernels (mulInto, gemv, axpy,
@@ -78,6 +80,7 @@ struct Case
     const char *app;
     const char *arch; //!< Golden-file label: "MIMO", "Heuristic", ...
     bool heuristic = false;
+    bool decoupled = false;
     bool withRob = false;   //!< Fig. 10's 3-input knob space.
     bool optimizer = false; //!< MIMO + optimizer, k = 2 (Fig. 9).
     PlantFidelity fidelity = PlantFidelity::CycleLevel;
@@ -93,7 +96,11 @@ runCase(const Case &c)
     const KnobSpace knobs(c.withRob);
 
     std::unique_ptr<ArchController> owned;
-    if (!c.heuristic) {
+    if (c.decoupled) {
+        const auto siso = exec::DesignCache::instance().sisoModels(cfg);
+        const MimoControllerDesign flow(knobs, cfg);
+        owned = flow.buildDecoupled(siso->cacheToIps, siso->freqToPower);
+    } else if (!c.heuristic) {
         const auto design =
             exec::DesignCache::instance().design(knobs, cfg);
         const MimoControllerDesign flow(knobs, cfg);
@@ -145,6 +152,7 @@ const std::vector<Case> kCases = {
     {.app = "milc", .arch = "MIMO+opt@analytic", .optimizer = true,
      .fidelity = PlantFidelity::Analytic, .epochs = 3000},
     {.app = "povray", .arch = "MIMO-3input", .withRob = true},
+    {.app = "povray", .arch = "Decoupled", .decoupled = true},
 };
 
 std::map<std::string, Digests>
