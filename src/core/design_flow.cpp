@@ -1,11 +1,7 @@
 #include "core/design_flow.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <system_error>
-#include <thread>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -13,6 +9,7 @@
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "sysid/arx.hpp"
 #include "sysid/waveform.hpp"
 #include "telemetry/telemetry.hpp"
@@ -22,60 +19,29 @@ namespace mimoarch {
 namespace {
 
 /**
- * Run fn(i) for every identification record i < n on min(n, hardware
- * threads) threads, the caller among them; each thread claims the next
- * index from one atomic counter, and each call is one "sysid.record"
- * trace span. @p fn must write only what index i owns. The threads are
- * short-lived std::threads rather than an exec::ThreadPool (which core
- * cannot depend on), so a caller that is itself a pool worker never
- * waits on tasks queued behind it. Once every thread has joined, the
- * lowest-index exception, if any, is rethrown: the failure does not
- * depend on the schedule (the SweepRunner rule, DESIGN.md §8).
+ * Run fn(i) for every identification record i < n through parallelFor
+ * on every hardware thread, each call one "sysid.record" trace span.
+ * @p fn must write only what record i owns.
  */
 template <typename Fn>
 void
 collectRecords(size_t n, const Fn &fn)
 {
-    std::vector<std::exception_ptr> errors(n);
-    std::atomic<size_t> next{0};
-    const auto work = [&] {
-        for (size_t i = next++; i < n; i = next++) {
-            telemetry::Span span("sysid.record", "design", nullptr,
-                                 "record", static_cast<int64_t>(i));
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
-    };
-    const size_t threads = std::min<size_t>(
-        n, std::max(1u, std::thread::hardware_concurrency()));
-    std::vector<std::thread> helpers;
-    helpers.reserve(threads);
-    for (size_t t = 1; t < threads; ++t) {
-        try {
-            helpers.emplace_back(work);
-        } catch (const std::system_error &) {
-            break; // The threads already running share the rest.
-        }
-    }
-    work();
-    for (std::thread &t : helpers)
-        t.join();
+    const unsigned threads = hardwareThreads();
+    parallelFor(n, threads, [&](size_t i) {
+        telemetry::Span span("sysid.record", "design", nullptr, "record",
+                             static_cast<int64_t>(i));
+        fn(i);
+    });
 #if defined(__GLIBC__)
     // Each helper thread allocated from its own malloc arena, and an
     // arena keeps freed pages below the trim threshold. Measured after
     // the 2-input bench-config design (Release, 4 vCPU): 4.6 MB
     // resident when serial, 5.2 MB on 4 threads, 4.8 MB with this
     // trim, which releases free pages in every arena.
-    if (!helpers.empty())
+    if (std::min<size_t>(n, threads) > 1)
         malloc_trim(0);
 #endif
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
 }
 
 } // namespace

@@ -9,10 +9,10 @@
  * ProcessorConfig) — exactly what this cache keys on. Concurrent
  * requests for the same key block behind one computation; distinct
  * keys compute in parallel. The computing thread collects the flow's
- * identification records on short-lived threads of its own, so a
- * request from inside a ThreadPool worker never waits on tasks queued
- * behind it. Replaces the ad-hoc function-local statics that used to
- * live in bench/bench_common.hpp.
+ * identification records through a parallelFor of its own, so a
+ * request from inside a sweep job runs them on fresh threads.
+ * Replaces the ad-hoc function-local statics that used to live in
+ * bench/bench_common.hpp.
  */
 
 #pragma once

@@ -11,8 +11,9 @@
 
 #include "common/fileio.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "exec/journal.hpp"
-#include "exec/thread_pool.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mimoarch::exec {
@@ -40,32 +41,14 @@ failureCauseName(FailureCause cause)
 
 namespace {
 
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (const char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (u < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-}
-
 /** The retry/watchdog/journal state machine behind runResilient(). */
 class Engine
 {
   public:
-    Engine(ThreadPool *pool, std::vector<ResilientJob> jobs,
+    Engine(unsigned workers, std::vector<ResilientJob> jobs,
            const ResilientPolicy &policy, uint64_t fingerprint,
            bool progress)
-        : pool_(pool), jobs_(std::move(jobs)), policy_(policy),
+        : workers_(workers), jobs_(std::move(jobs)), policy_(policy),
           progress_(progress), chaos_(policy.chaos),
           done_(jobs_.size(), 0), flights_(jobs_.size())
     {
@@ -80,6 +63,8 @@ class Engine
         tmFailures_ = &reg.counter("exec.job_failures");
         tmResumed_ = &reg.counter("exec.jobs_resumed");
         tmChaos_ = &reg.counter("exec.chaos_injections");
+        tmTasks_ = &reg.counter("exec.tasks");
+        tmTaskNs_ = &reg.histogram("exec.task_ns");
     }
 
     SweepReport
@@ -98,14 +83,8 @@ class Engine
         if (policy_.jobTimeoutS > 0.0 && !todo.empty())
             watchdog = std::thread([this] { watchdogLoop(); });
 
-        if (pool_ != nullptr) {
-            for (const size_t i : todo)
-                pool_->submit([this, i] { runJob(i, 1); });
-            pool_->wait();
-        } else {
-            for (const size_t i : todo)
-                runJob(i, 1);
-        }
+        parallelFor(todo.size(), workers_,
+                    [&](size_t k) { runJob(todo[k]); });
 
         if (watchdog.joinable()) {
             {
@@ -162,22 +141,15 @@ class Engine
         }
     }
 
-    /** Task body: attempt (and, on retry, re-attempt) job @p i. */
+    /** Attempt (and, on retry, re-attempt) job @p i. */
     void
-    runJob(size_t i, unsigned attempt)
+    runJob(size_t i)
     {
-        for (;;) {
+        for (unsigned attempt = 1;; ++attempt) {
             if (attempt > 1)
                 backoffSleep(i, attempt);
             if (!attemptOnce(i, attempt))
                 return; // resolved (success or permanent failure)
-            ++attempt;
-            if (pool_ != nullptr) {
-                // Re-queue so the worker stays fair to other jobs; the
-                // nested submit lands on this worker's own deque.
-                pool_->submit([this, i, attempt] { runJob(i, attempt); });
-                return;
-            }
         }
     }
 
@@ -218,8 +190,9 @@ class Engine
         bool failed = false;
         FailureCause cause = FailureCause::Exception;
         std::string message;
+        tmTasks_->add(1);
         try {
-            telemetry::Span span("job", "sweep", nullptr, "job",
+            telemetry::Span span("job", "sweep", tmTaskNs_, "job",
                                  static_cast<int64_t>(i));
             if (act == ChaosAction::Throw)
                 throw ChaosError("chaos: injected exception");
@@ -504,9 +477,9 @@ class Engine
             const JobFailure &f = report.failures[i];
             out += i == 0 ? "\n" : ",\n";
             out += "{\"app\": \"";
-            appendEscaped(out, f.key.app);
+            telemetry::appendEscaped(out, f.key.app);
             out += "\", \"controller\": \"";
-            appendEscaped(out, f.key.controller);
+            telemetry::appendEscaped(out, f.key.controller);
             out += "\", \"config\": " + std::to_string(f.key.config);
             out += ", \"rep\": " + std::to_string(f.key.rep);
             out += ", \"index\": " + std::to_string(f.index);
@@ -514,7 +487,7 @@ class Engine
             out += ", \"cause\": \"";
             out += failureCauseName(f.cause);
             out += "\", \"message\": \"";
-            appendEscaped(out, f.message);
+            telemetry::appendEscaped(out, f.message);
             out += "\"}";
         }
         out += "\n]\n}\n";
@@ -524,7 +497,7 @@ class Engine
         }
     }
 
-    ThreadPool *pool_;
+    const unsigned workers_;
     std::vector<ResilientJob> jobs_;
     const ResilientPolicy policy_;
     const bool progress_;
@@ -556,16 +529,19 @@ class Engine
     telemetry::Counter *tmFailures_;
     telemetry::Counter *tmResumed_;
     telemetry::Counter *tmChaos_;
+    telemetry::Counter *tmTasks_;    //!< Job attempts run.
+    telemetry::Histogram *tmTaskNs_; //!< Wall time per attempt.
 };
 
 } // namespace
 
 SweepReport
-runResilient(ThreadPool *pool, std::vector<ResilientJob> jobs,
+runResilient(unsigned workers, std::vector<ResilientJob> jobs,
              const ResilientPolicy &policy, uint64_t fingerprint,
              bool progress)
 {
-    Engine engine(pool, std::move(jobs), policy, fingerprint, progress);
+    Engine engine(workers, std::move(jobs), policy, fingerprint,
+                  progress);
     return engine.run();
 }
 

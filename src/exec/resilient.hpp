@@ -5,7 +5,7 @@
  * degradation (see DESIGN.md §11).
  *
  * Failure model. A sweep job can fail four ways, and each is captured
- * as a structured JobFailure instead of tearing down the pool:
+ * as a structured JobFailure instead of tearing down the sweep:
  *
  *   Exception     — the job threw (its own bug, a chaos injection).
  *   Timeout       — the watchdog deadlined the attempt and the job
@@ -45,8 +45,6 @@
 #include "exec/chaos.hpp"
 
 namespace mimoarch::exec {
-
-class ThreadPool;
 
 /** Stable identity of one sweep job (hash input for its RNG seed). */
 struct JobKey
@@ -188,13 +186,15 @@ struct ResilientJob
 };
 
 /**
- * Execute @p jobs under @p policy on @p pool (null = serial, in index
- * order, on the calling thread — the deterministic reference
- * schedule). @p fingerprint keys the journal to the experiment
- * configuration. Throws SweepError when failures exceed the policy's
- * tolerance; otherwise returns the report (failures ≤ maxFailures).
+ * Execute @p jobs under @p policy through parallelFor on @p workers
+ * threads; each job runs all of its attempts on the thread that claimed
+ * it. One worker runs every job inline, in index order, on the calling
+ * thread — the deterministic reference schedule. @p fingerprint keys
+ * the journal to the experiment configuration. Throws SweepError when
+ * failures exceed the policy's tolerance; otherwise returns the report
+ * (failures ≤ maxFailures).
  */
-SweepReport runResilient(ThreadPool *pool, std::vector<ResilientJob> jobs,
+SweepReport runResilient(unsigned workers, std::vector<ResilientJob> jobs,
                          const ResilientPolicy &policy,
                          uint64_t fingerprint, bool progress);
 

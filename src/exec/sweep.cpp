@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -163,8 +164,7 @@ parseSweepArgs(int argc, char **argv)
 }
 
 SweepRunner::SweepRunner(const SweepOptions &options)
-    : jobs_(options.jobs > 0 ? options.jobs
-                             : ThreadPool::hardwareThreads()),
+    : jobs_(options.jobs > 0 ? options.jobs : hardwareThreads()),
       progress_(options.progress), telemetryPath_(options.telemetry),
       resilient_(options.resilient)
 {
@@ -176,16 +176,12 @@ SweepRunner::SweepRunner(const SweepOptions &options)
         telemetry::trace().start(capacity);
         armedTrace_ = true;
     }
-    if (jobs_ > 1)
-        pool_ = std::make_unique<ThreadPool>(jobs_);
 }
 
 SweepRunner::~SweepRunner()
 {
-    // Reports are written after the pool is gone: workers have joined,
-    // so the trace buffer and registry are quiescent (and the pool's
-    // shutdown-time utilization gauges are in).
-    pool_.reset();
+    // mapJobs() joins its threads before it returns, so the trace
+    // buffer and registry are quiescent here.
     if (!telemetryPath_.empty())
         telemetry::writeReports(telemetryPath_);
     else if (armedTrace_)

@@ -1,7 +1,8 @@
 /**
  * @file
  * SweepRunner: shards (app x controller x knob-config x seed) jobs
- * across a work-stealing ThreadPool with a determinism contract.
+ * across --jobs threads (common/parallel.hpp) with a determinism
+ * contract.
  *
  * The contract, which every bench and test sweep in this repo relies
  * on:
@@ -29,14 +30,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/fidelity.hpp"
 #include "exec/resilient.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace mimoarch::exec {
 
@@ -94,7 +93,7 @@ struct SweepOutcome
     SweepReport report;
 };
 
-/** Runs job lists across a pool; owns the pool. */
+/** Runs job lists on up to jobs() threads per mapJobs() call. */
 class SweepRunner
 {
   public:
@@ -163,8 +162,8 @@ class SweepRunner
                     };
             }
         }
-        out.report = runResilient(pool_.get(), std::move(jobs),
-                                  resilient_, fingerprint, progress_);
+        out.report = runResilient(jobs_, std::move(jobs), resilient_,
+                                  fingerprint, progress_);
         // Tolerated failures leave their slots at a well-defined
         // default (an Invalid injection may have written real data
         // before the attempt was failed).
@@ -179,7 +178,6 @@ class SweepRunner
     std::string telemetryPath_; //!< Empty = no report on destruction.
     bool armedTrace_ = false;   //!< This runner started the trace.
     ResilientPolicy resilient_;
-    std::unique_ptr<ThreadPool> pool_; //!< Null when jobs_ == 1.
 };
 
 } // namespace mimoarch::exec

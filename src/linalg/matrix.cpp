@@ -2,25 +2,6 @@
 
 namespace mimoarch {
 
-double
-dot(const Matrix &a, const Matrix &b)
-{
-    if (!a.isVector() || !b.isVector() || a.rows() != b.rows())
-        panic("dot() needs two equal-length column vectors");
-    double s = 0.0;
-    for (size_t i = 0; i < a.rows(); ++i)
-        s += a[i] * b[i];
-    return s;
-}
-
-double
-norm2(const Matrix &v)
-{
-    if (!v.isVector())
-        panic("norm2() needs a column vector");
-    return v.frobeniusNorm();
-}
-
 CMatrix
 toComplex(const Matrix &m)
 {
@@ -29,27 +10,6 @@ toComplex(const Matrix &m)
         for (size_t k = 0; k < m.cols(); ++k)
             c(r, k) = std::complex<double>(m(r, k), 0.0);
     return c;
-}
-
-CMatrix
-conjTranspose(const CMatrix &m)
-{
-    CMatrix t(m.cols(), m.rows());
-    for (size_t r = 0; r < m.rows(); ++r)
-        for (size_t c = 0; c < m.cols(); ++c)
-            t(c, r) = std::conj(m(r, c));
-    return t;
-}
-
-Matrix
-hcat(const Matrix &a, const Matrix &b)
-{
-    if (a.rows() != b.rows())
-        panic("hcat row mismatch: ", a.rows(), " vs ", b.rows());
-    Matrix m(a.rows(), a.cols() + b.cols());
-    m.setBlock(0, 0, a);
-    m.setBlock(0, a.cols(), b);
-    return m;
 }
 
 Matrix

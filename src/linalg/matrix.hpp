@@ -167,7 +167,7 @@ class MatrixT
     /** Raw storage (row-major). */
     const std::vector<T> &data() const { return data_; }
 
-    /** Transpose (no conjugation; see conjTranspose). */
+    /** Transpose (no conjugation). */
     MatrixT
     transpose() const
     {
@@ -520,20 +520,8 @@ using Matrix = MatrixT<double>;
 /** Complex matrix for frequency-domain analysis. */
 using CMatrix = MatrixT<std::complex<double>>;
 
-/** Dot product of two equal-length column vectors. */
-double dot(const Matrix &a, const Matrix &b);
-
-/** Euclidean norm of a column vector. */
-double norm2(const Matrix &v);
-
 /** Promote a real matrix to a complex one. */
 CMatrix toComplex(const Matrix &m);
-
-/** Conjugate transpose of a complex matrix. */
-CMatrix conjTranspose(const CMatrix &m);
-
-/** Horizontal concatenation [a b]; row counts must match. */
-Matrix hcat(const Matrix &a, const Matrix &b);
 
 /** Vertical concatenation [a; b]; column counts must match. */
 Matrix vcat(const Matrix &a, const Matrix &b);

@@ -8,26 +8,25 @@
 
 namespace mimoarch::telemetry {
 
-namespace {
-
-/** JSON string escaping (names are ASCII literals; be safe anyway). */
 void
-appendEscaped(std::string &out, const char *s)
+appendEscaped(std::string &out, std::string_view s)
 {
-    for (; *s != '\0'; ++s) {
-        const unsigned char c = static_cast<unsigned char>(*s);
+    for (const char ch : s) {
+        const unsigned char c = static_cast<unsigned char>(ch);
         if (c == '"' || c == '\\') {
             out += '\\';
-            out += static_cast<char>(c);
+            out += ch;
         } else if (c < 0x20) {
             char buf[8];
             std::snprintf(buf, sizeof(buf), "\\u%04x", c);
             out += buf;
         } else {
-            out += static_cast<char>(c);
+            out += ch;
         }
     }
 }
+
+namespace {
 
 /** Nanoseconds as microseconds with exactly three decimals (exact
  *  integer arithmetic, so the rendering is bit-stable). */
@@ -132,7 +131,7 @@ renderMetricsJson(const Registry &reg)
     for (size_t i = 0; i < counters.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
         out += "\"";
-        appendEscaped(out, counters[i].first.c_str());
+        appendEscaped(out, counters[i].first);
         out += "\": ";
         appendU64(out, counters[i].second);
     }
@@ -141,7 +140,7 @@ renderMetricsJson(const Registry &reg)
     for (size_t i = 0; i < gauges.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
         out += "\"";
-        appendEscaped(out, gauges[i].first.c_str());
+        appendEscaped(out, gauges[i].first);
         out += "\": ";
         appendF64(out, gauges[i].second);
     }
@@ -151,7 +150,7 @@ renderMetricsJson(const Registry &reg)
         const HistogramSnapshot &h = histograms[i].second;
         out += i == 0 ? "\n" : ",\n";
         out += "\"";
-        appendEscaped(out, histograms[i].first.c_str());
+        appendEscaped(out, histograms[i].first);
         out += "\": {\"count\":";
         appendU64(out, h.count);
         out += ",\"sum\":";

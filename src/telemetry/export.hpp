@@ -18,10 +18,17 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 
 namespace mimoarch::telemetry {
+
+/**
+ * Append @p s to @p out as the body of a JSON string: '"' and '\' are
+ * backslash-escaped, and bytes below 0x20 become \u00XX.
+ */
+void appendEscaped(std::string &out, std::string_view s);
 
 /** Chrome trace JSON for @p buffer's events (stable byte-for-byte). */
 std::string renderChromeTrace(const TraceBuffer &buffer);

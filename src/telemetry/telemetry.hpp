@@ -295,7 +295,7 @@ struct TraceEvent
  * place, so concurrent recorders never contend on a lock or touch the
  * heap. When the buffer is full further events are dropped (and
  * counted) rather than grown. Read the events only after the writers
- * have quiesced (after ThreadPool::wait() / join).
+ * have quiesced (after their threads have joined).
  */
 class TraceBuffer
 {

@@ -2,7 +2,7 @@
  * @file
  * DesignCache tests: one computation per key no matter how many
  * threads ask at once, distinct keys get distinct entries, designs
- * computed from inside pool workers equal solo ones bit for bit,
+ * computed from inside parallelFor threads equal solo ones bit for bit,
  * clear() leaves outstanding results valid, and
  * ExperimentConfig::fingerprint() actually discriminates
  * configurations.
@@ -14,8 +14,8 @@
 #include <cstring>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "exec/design_cache.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace mimoarch::exec {
 namespace {
@@ -37,12 +37,8 @@ TEST(DesignCache, SingleComputationPerKeyUnderContention)
     constexpr size_t kRequests = 32;
     std::vector<std::shared_ptr<const SisoModels>> got(kRequests);
 
-    ThreadPool pool(8);
-    for (size_t i = 0; i < kRequests; ++i)
-        pool.submit([&cache, &cfg, &got, i] {
-            got[i] = cache.sisoModels(cfg);
-        });
-    pool.wait();
+    parallelFor(kRequests, 8,
+                [&](size_t i) { got[i] = cache.sisoModels(cfg); });
 
     EXPECT_EQ(cache.designComputations(), 1ul);
     for (size_t i = 0; i < kRequests; ++i) {
@@ -69,20 +65,17 @@ bitEqual(const std::vector<double> &a, const std::vector<double> &b)
 
 TEST(DesignCache, ConcurrentDesignsMatchSolo)
 {
-    // Eight pool workers ask for two distinct design() keys at once.
-    // Each computing worker collects its records on threads of its
-    // own, so it never waits on a task queued behind it in the pool.
+    // Eight threads ask for two distinct design() keys at once. Each
+    // computing thread collects its records through a nested
+    // parallelFor on threads of its own.
     const ExperimentConfig cfg = tinyConfig();
     const KnobSpace knobs[2] = {KnobSpace(false), KnobSpace(true)};
     constexpr size_t kRequests = 8;
     DesignCache cache;
     std::vector<std::shared_ptr<const MimoDesignResult>> got(kRequests);
-    ThreadPool pool(8);
-    for (size_t i = 0; i < kRequests; ++i)
-        pool.submit([&cache, &cfg, &knobs, &got, i] {
-            got[i] = cache.design(knobs[i % 2], cfg);
-        });
-    pool.wait();
+    parallelFor(kRequests, 8, [&](size_t i) {
+        got[i] = cache.design(knobs[i % 2], cfg);
+    });
     EXPECT_EQ(cache.designComputations(), 2ul);
 
     for (size_t k = 0; k < 2; ++k) {

@@ -121,7 +121,7 @@ TEST(Resilient, OneFailingJobDoesNotKillTheOthers)
                   std::string::npos)
             << e.what();
     }
-    // The pool survived: every healthy job ran to completion.
+    // The sweep survived: every healthy job ran to completion.
     EXPECT_EQ(healthy_done.load(), static_cast<int>(n - 1));
 }
 
@@ -296,7 +296,7 @@ TEST(Resilient, FailureReportIsWrittenEvenWhenTolerated)
     (void)runner.mapJobs<uint64_t>(
         makeKeys(4), 1, [](const JobContext &ctx) -> uint64_t {
             if (ctx.index == 2)
-                throw std::runtime_error("with \"quotes\"");
+                throw std::runtime_error("with \"quotes\"\nand a newline");
             return ctx.index;
         });
     const std::string report = readAll(path);
@@ -306,7 +306,8 @@ TEST(Resilient, FailureReportIsWrittenEvenWhenTolerated)
     EXPECT_NE(report.find("\"app\": \"app2\""), std::string::npos);
     EXPECT_NE(report.find("\"cause\": \"exception\""),
               std::string::npos);
-    EXPECT_NE(report.find("with \\\"quotes\\\""), std::string::npos);
+    EXPECT_NE(report.find("with \\\"quotes\\\"\\u000aand a newline"),
+              std::string::npos);
     std::remove(path.c_str());
 }
 

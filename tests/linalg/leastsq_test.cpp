@@ -88,7 +88,7 @@ TEST(Ridge, ShrinksSolutionTowardZero)
     Matrix b = Matrix::vector({1.0, 1.0});
     Matrix x0 = solveRidge(a, b, 0.0);
     Matrix x1 = solveRidge(a, b, 1.0);
-    EXPECT_LT(norm2(x1), norm2(x0));
+    EXPECT_LT(x1.frobeniusNorm(), x0.frobeniusNorm());
     // Closed form for identity A: x = b / (1 + lambda).
     EXPECT_NEAR(x1[0], 0.5, 1e-12);
 }

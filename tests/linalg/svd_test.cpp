@@ -128,7 +128,7 @@ TEST(Svd, RankOneMatrix)
     Matrix v = Matrix::vector({3.0, 4.0});
     Matrix a = u * v.transpose();
     const SvdResult r = svd(a);
-    EXPECT_NEAR(r.s[0], norm2(u) * norm2(v), 1e-10);
+    EXPECT_NEAR(r.s[0], u.frobeniusNorm() * v.frobeniusNorm(), 1e-10);
     EXPECT_NEAR(r.s[1], 0.0, 1e-10);
 }
 
