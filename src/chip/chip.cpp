@@ -1,9 +1,11 @@
 #include "chip/chip.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 
 namespace mimoarch::chip {
 
@@ -124,7 +126,7 @@ ChipInstance::arbitrate(size_t epoch)
 }
 
 ChipRunSummary
-ChipInstance::run(const KnobSettings &initial)
+ChipInstance::run(const KnobSettings &initial, unsigned threads)
 {
     const size_t n = cores_.size();
     events_.clear();
@@ -148,26 +150,37 @@ ChipInstance::run(const KnobSettings &initial)
         }
     }
 
-    for (size_t i = 0; i < n; ++i)
+    // begin() warms a core up and takes its baselines; the references
+    // it leaves are the nominal per-core operating points every later
+    // re-target scales from (scaling the *current* reference would
+    // compound round over round). Both touch only core i, and one
+    // thread runs the cores inline in core order.
+    parallelFor(n, threads, [&](size_t i) {
         drivers_[i]->begin(initial);
+        std::tie(nominalRefIps_[i], nominalRefPower_[i]) =
+            cores_[i].controller->reference();
+    });
 
-    // The controllers' references at run start are the nominal
-    // per-core operating points every later re-target scales from
-    // (scaling the *current* reference would compound round over
-    // round).
-    for (size_t i = 0; i < n; ++i) {
-        const auto [ips0, power0] = cores_[i].controller->reference();
-        nominalRefIps_[i] = ips0;
-        nominalRefPower_[i] = power0;
-    }
-
-    for (size_t t = 0; t < driver_.epochs; ++t) {
-        if (chip_.arbiterEnabled && t > 0 &&
-            t % chip_.arbiterPeriodEpochs == 0) {
-            arbitrate(t);
+    // Cores meet only inside arbitrate(), so the epochs between two
+    // rounds form one stretch in which every core steps alone. With
+    // the arbiter off the whole run is one stretch.
+    const size_t period = chip_.arbiterEnabled ? chip_.arbiterPeriodEpochs
+                                               : driver_.epochs;
+    for (size_t t0 = 0; t0 < driver_.epochs; t0 += period) {
+        if (t0 > 0)
+            arbitrate(t0);
+        const size_t t1 = std::min(driver_.epochs, t0 + period);
+        if (threads <= 1) {
+            for (size_t t = t0; t < t1; ++t) {
+                for (size_t i = 0; i < n; ++i)
+                    drivers_[i]->stepEpoch();
+            }
+        } else {
+            parallelFor(n, threads, [&](size_t i) {
+                for (size_t t = t0; t < t1; ++t)
+                    drivers_[i]->stepEpoch();
+            });
         }
-        for (size_t i = 0; i < n; ++i)
-            drivers_[i]->stepEpoch();
     }
 
     ChipRunSummary s;

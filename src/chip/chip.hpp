@@ -5,11 +5,15 @@
  *
  * Each core is a complete single-core stack — its own Plant and
  * ArchController driven by its own EpochDriver — and the chip steps
- * all cores in lock-step through EpochDriver's stepwise API. A core
- * therefore executes the *identical* statement chain it would execute
+ * the cores through EpochDriver's stepwise API. A core therefore
+ * executes the *identical* statement chain it would execute
  * standalone; with one core and the arbiter disabled, digest(trace)
  * is bit-identical to a plain EpochDriver::run() (the equivalence the
  * chip test tier pins).
+ *
+ * Cores share no mutable state outside arbitration rounds, so run()
+ * can step them on parallel threads between rounds: the round is the
+ * only barrier, and the result is bit-identical at any thread count.
  *
  * Every arbiterPeriodEpochs epochs the arbiter re-partitions the L2
  * ways (strict way partitioning: each core's plant is confined to a
@@ -83,7 +87,7 @@ struct ChipRunSummary
 /** Bit-exact digest over every field (chip determinism tests). */
 uint64_t digest(const ChipRunSummary &summary);
 
-/** N lock-step cores + shared-budget arbiter. */
+/** N cores + shared-budget arbiter, stepped serially or in parallel. */
 class ChipInstance
 {
   public:
@@ -97,8 +101,19 @@ class ChipInstance
     ChipInstance(std::vector<ChipCore> cores, const ChipConfig &chip,
                  const DriverConfig &driver);
 
-    /** Run driver.epochs lock-step epochs from @p initial settings. */
-    ChipRunSummary run(const KnobSettings &initial);
+    /**
+     * Run driver.epochs epochs from @p initial settings.
+     *
+     * At @p threads <= 1 everything runs on the caller: each core's
+     * begin() in core order, then lock-step epochs in core order.
+     * Above 1, each core is one parallelFor task per phase: its
+     * begin(), then each stretch of epochs between two arbitration
+     * rounds; arbitrate() runs on the caller between stretches. A
+     * core that throws ends only its own stretch; once every core has
+     * joined, the lowest-index core's exception is rethrown. The
+     * result is bit-identical at any @p threads.
+     */
+    ChipRunSummary run(const KnobSettings &initial, unsigned threads = 1);
 
     size_t numCores() const { return cores_.size(); }
 

@@ -4,6 +4,7 @@
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "core/controllers.hpp"
 #include "exec/plant_factory.hpp"
 #include "workload/spec_suite.hpp"
@@ -67,7 +68,8 @@ runChipJob(const ChipJobConfig &cfg, const JobContext &ctx)
     dcfg.cancel = &ctx.cancel;
 
     chip::ChipInstance inst(std::move(cores), chip_cfg, dcfg);
-    const chip::ChipRunSummary sum = inst.run(cfg.initial);
+    const chip::ChipRunSummary sum =
+        inst.run(cfg.initial, hardwareThreads());
 
     ChipResult r;
     r.nCores = n;

@@ -3,8 +3,10 @@
  * Chip jobs: one SweepRunner job runs a whole ChipInstance.
  *
  * The scalar sweep shape is one (plant, controller) pair per job; the
- * chip shape is one N-core chip per job, with the cores stepped in
- * lock-step inside the job and the sweep parallelizing over *chips*.
+ * chip shape is one N-core chip per job. The sweep runs chips in
+ * parallel, and inside a chip the job also steps the cores in parallel
+ * between arbitration rounds (ChipInstance::run on hardwareThreads()
+ * threads).
  * runChipJob() obeys the SweepRunner determinism contract — all
  * randomness derives from jobSeed(ctx.key) (per-core plants salt it
  * with their core index), each attempt builds its own chip, and the
@@ -62,9 +64,9 @@ struct ChipResult
 };
 
 /**
- * Build an nCores-core chip from @p cfg, run it for cfg.epochs
- * lock-step epochs, and summarize. A non-positive
- * cfg->chip.powerEnvelopeW resolves to nCores x cfg->powerReference.
+ * Build an nCores-core chip from @p cfg, run it for cfg.epochs epochs,
+ * and summarize. A non-positive cfg->chip.powerEnvelopeW resolves to
+ * nCores x cfg->powerReference.
  * Deterministic in ctx.key; throws CanceledError when ctx.cancel is
  * set. fatal()s on a malformed config (null cfg/design, app count
  * mismatch) — a bench bug, not a per-job fault.

@@ -10,7 +10,11 @@
  *     MIMO and the Heuristic architectures;
  *   - an N-core chip with the arbiter live is bit-repeatable run to
  *     run, and every arbitration round it applies is a valid partition
- *     of the shared L2 inside the power envelope.
+ *     of the shared L2 inside the power envelope;
+ *   - stepping the cores on parallel threads between arbitration
+ *     rounds (ChipInstance::run's parallel path) reproduces the serial
+ *     run bit for bit at any thread count: the chip digest, every
+ *     core's trace and every applied round.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "chip/chip.hpp"
+#include "common/cancel.hpp"
 #include "core/controllers.hpp"
 #include "core/design_flow.hpp"
 #include "core/harness.hpp"
@@ -190,6 +195,99 @@ TEST(ChipEquivalence, ArbiterRunsAreBitRepeatable)
         EXPECT_EQ(mask_union, 0xFFu);
         EXPECT_LE(power, 1.5 * cfg.powerReference * (1.0 + 1e-9));
     }
+}
+
+/** Everything a chip run leaves that must not depend on its threads. */
+struct ChipOutcome
+{
+    uint64_t chip = 0;
+    std::vector<uint64_t> traces;
+    std::vector<chip::ArbiterEvent> events;
+};
+
+/**
+ * A 3-core gamess/mcf/povray chip run for 130 epochs on @p threads
+ * threads. With the arbiter on it re-partitions every 50 epochs under
+ * 75% of the 3-core nominal envelope, so the stretches between rounds
+ * are 50/50/30 and the last one does not end on a round.
+ */
+ChipOutcome
+threeCoreChipRun(bool arbiter, unsigned threads,
+                 const CancellationToken *cancel = nullptr)
+{
+    const ExperimentConfig cfg = chipTestConfig();
+    const KnobSpace knobs(false);
+    std::vector<chip::ChipCore> cores(3);
+    const char *apps[] = {"gamess", "mcf", "povray"};
+    for (size_t i = 0; i < 3; ++i) {
+        cores[i].app = apps[i];
+        cores[i].plant = std::make_unique<SimPlant>(
+            Spec2006Suite::byName(apps[i]), knobs);
+        cores[i].controller = makeController("MIMO", knobs, cfg);
+    }
+    ChipConfig ccfg;
+    ccfg.nCores = 3;
+    ccfg.arbiterEnabled = arbiter;
+    ccfg.arbiterPeriodEpochs = 50;
+    ccfg.powerEnvelopeW = 2.25 * cfg.powerReference;
+    DriverConfig dcfg;
+    dcfg.epochs = 130;
+    dcfg.errorSkipEpochs = 30;
+    dcfg.cancel = cancel;
+    chip::ChipInstance inst(std::move(cores), ccfg, dcfg);
+    const chip::ChipRunSummary sum = inst.run(startSettings(), threads);
+    ChipOutcome out;
+    out.chip = chip::digest(sum);
+    for (size_t i = 0; i < 3; ++i)
+        out.traces.push_back(digest(inst.coreTrace(i)));
+    out.events = inst.arbiterEvents();
+    return out;
+}
+
+void
+expectSameOutcome(const ChipOutcome &serial, const ChipOutcome &parallel)
+{
+    EXPECT_EQ(parallel.chip, serial.chip);
+    EXPECT_EQ(parallel.traces, serial.traces);
+    ASSERT_EQ(parallel.events.size(), serial.events.size());
+    for (size_t e = 0; e < serial.events.size(); ++e) {
+        EXPECT_EQ(parallel.events[e].epoch, serial.events[e].epoch);
+        for (size_t i = 0; i < 3; ++i) {
+            const chip::CoreAllocation &a = serial.events[e].alloc[i];
+            const chip::CoreAllocation &b = parallel.events[e].alloc[i];
+            EXPECT_EQ(b.ways, a.ways);
+            EXPECT_EQ(b.wayMask, a.wayMask);
+            EXPECT_EQ(b.ipsTarget, a.ipsTarget);
+            EXPECT_EQ(b.powerTarget, a.powerTarget);
+            EXPECT_EQ(b.retarget, a.retarget);
+        }
+    }
+}
+
+TEST(ChipEquivalence, ParallelCoresMatchSerialRunAtAnyThreadCount)
+{
+    const ChipOutcome serial = threeCoreChipRun(true, 1);
+    ASSERT_EQ(serial.events.size(), 2u);
+    EXPECT_EQ(serial.events[0].epoch, 50u);
+    EXPECT_EQ(serial.events[1].epoch, 100u);
+    for (unsigned threads : {2u, 3u, 8u}) {
+        SCOPED_TRACE(threads);
+        expectSameOutcome(serial, threeCoreChipRun(true, threads));
+    }
+}
+
+TEST(ChipEquivalence, ParallelArbiterOffChipIsOneStretch)
+{
+    const ChipOutcome serial = threeCoreChipRun(false, 1);
+    EXPECT_TRUE(serial.events.empty());
+    expectSameOutcome(serial, threeCoreChipRun(false, 3));
+}
+
+TEST(ChipEquivalence, CanceledParallelRunThrows)
+{
+    CancellationToken cancel;
+    cancel.requestCancel();
+    EXPECT_THROW(threeCoreChipRun(true, 4, &cancel), CanceledError);
 }
 
 } // namespace

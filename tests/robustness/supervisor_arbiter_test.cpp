@@ -5,7 +5,7 @@
  * re-targeting (the arbiter reserves its measured draw instead of
  * handing it a new operating point), the surplus must flow to the
  * healthy cores deterministically, and the whole faulted chip run must
- * stay bit-repeatable.
+ * stay bit-repeatable, also when its cores step on parallel threads.
  *
  * Core 0's supervised stack is given an unreachable reference (50
  * BIPS at 0.05 W), so its tracking error is persistently enormous on
@@ -50,7 +50,7 @@ struct RunOutcome
 };
 
 RunOutcome
-runFaultedChip()
+runFaultedChip(unsigned threads = 1)
 {
     const ExperimentConfig cfg = chipTestConfig();
     const KnobSpace knobs(false);
@@ -110,7 +110,7 @@ runFaultedChip()
     KnobSettings init;
     init.freqLevel = 3;
     init.cacheSetting = 1;
-    const chip::ChipRunSummary sum = inst.run(init);
+    const chip::ChipRunSummary sum = inst.run(init, threads);
 
     RunOutcome out;
     out.digest = chip::digest(sum);
@@ -165,20 +165,27 @@ TEST(SupervisorUnderArbiter, SafePinnedCoreIsNeverRetargeted)
     EXPECT_EQ(out.finalRefPower, last_retargeted_power);
 }
 
+// The second run steps its two cores on parallel threads between
+// rounds (ChipInstance::run's parallel path): the ladder, the pin and
+// every round must come out the same as in the serial run.
 TEST(SupervisorUnderArbiter, FaultedChipRunsAreBitRepeatable)
 {
     const RunOutcome a = runFaultedChip();
-    const RunOutcome b = runFaultedChip();
+    const RunOutcome b = runFaultedChip(2);
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.finalTier, b.finalTier);
     ASSERT_EQ(a.events.size(), b.events.size());
     for (size_t e = 0; e < a.events.size(); ++e) {
-        EXPECT_EQ(a.events[e].alloc[0].retarget,
-                  b.events[e].alloc[0].retarget);
-        EXPECT_EQ(a.events[e].alloc[0].powerTarget,
-                  b.events[e].alloc[0].powerTarget);
-        EXPECT_EQ(a.events[e].alloc[1].wayMask,
-                  b.events[e].alloc[1].wayMask);
+        EXPECT_EQ(a.events[e].epoch, b.events[e].epoch);
+        for (size_t i = 0; i < 2; ++i) {
+            const chip::CoreAllocation &x = a.events[e].alloc[i];
+            const chip::CoreAllocation &y = b.events[e].alloc[i];
+            EXPECT_EQ(x.ways, y.ways);
+            EXPECT_EQ(x.wayMask, y.wayMask);
+            EXPECT_EQ(x.ipsTarget, y.ipsTarget);
+            EXPECT_EQ(x.powerTarget, y.powerTarget);
+            EXPECT_EQ(x.retarget, y.retarget);
+        }
     }
 }
 

@@ -138,8 +138,9 @@ TEST(HistogramTest, BucketBoundaries)
         const size_t b = HistogramSnapshot::bucketOf(v);
         ASSERT_LT(b, HistogramSnapshot::kBuckets);
         ASSERT_LE(v, HistogramSnapshot::bucketUpperBound(b));
-        if (b > 0)
+        if (b > 0) {
             ASSERT_GT(v, HistogramSnapshot::bucketUpperBound(b - 1));
+        }
     }
 }
 

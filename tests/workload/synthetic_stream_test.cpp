@@ -94,8 +94,9 @@ TEST(SyntheticStream, StreamingAddressesAdvanceSequentially)
     for (int i = 0; i < 5000 && mem_ops < 100; ++i) {
         const MicroOp op = s.next();
         if (op.cls == OpClass::Load || op.cls == OpClass::Store) {
-            if (mem_ops > 0)
+            if (mem_ops > 0) {
                 EXPECT_EQ(op.addr, last + 64);
+            }
             last = op.addr;
             ++mem_ops;
         }
