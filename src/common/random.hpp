@@ -88,6 +88,31 @@ class Rng
     /** Bernoulli draw with probability @p p of true. */
     bool bernoulli(double p) { return uniform() < p; }
 
+    /**
+     * Integer form of probability @p p for below(): uniform() < p holds
+     * exactly when the draw's top 53 bits m satisfy m < threshold(p).
+     * uniform() is m * 2^-53 with no rounding, so the bound is
+     * ceil(p * 2^53), itself exact; p <= 0 and NaN give 0 (never true)
+     * and p >= 1 gives 2^53 (always true).
+     */
+    static constexpr uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 53;
+        const double scaled = p * 0x1.0p53;
+        const auto whole = static_cast<uint64_t>(scaled);
+        return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+    }
+
+    /**
+     * Bernoulli draw against a threshold(p): the same draw and the same
+     * outcome as bernoulli(p), with no double arithmetic.
+     */
+    bool below(uint64_t threshold) { return (next() >> 11) < threshold; }
+
     /** Standard normal draw (Box–Muller, one value per call). */
     double
     normal()
@@ -109,19 +134,6 @@ class Rng
 
     /** Normal draw with the given mean and standard deviation. */
     double normal(double mean, double sigma) { return mean + sigma * normal(); }
-
-    /**
-     * Geometric-ish draw for dependency distances: returns k >= 1 with
-     * P(k) proportional to (1-p)^(k-1), truncated to @p max.
-     */
-    uint64_t
-    geometric(double p, uint64_t max)
-    {
-        uint64_t k = 1;
-        while (k < max && !bernoulli(p))
-            ++k;
-        return k;
-    }
 
   private:
     static uint64_t

@@ -26,18 +26,26 @@ Core::Core(const CoreConfig &config, InstructionSource *source,
         config_.fpDivLatency == 0 || mem_->config().l1LatencyCycles == 0)
         fatal("Core config: execute and L1 latencies must be >= 1 cycle");
 
-    const uint32_t slots = std::bit_ceil(config_.robSizeMax);
+    // Whole bitmap words of slots: select reads a word of ages as two
+    // circularly adjacent words of slots.
+    const uint32_t slots =
+        std::max(std::bit_ceil(config_.robSizeMax), uint32_t{64});
     rob_.assign(slots, RobEntry{});
     robMask_ = slots - 1;
     wakeWheel_.assign(kWakeWheelSize, kNoLink);
-    readyWords_ = (slots + 63) / 64;
+    readyWords_ = slots / 64;
     readyBits_.assign(kNumPortGroups * readyWords_, 0);
-    portCap_[kAluGroup] = config_.aluPorts;
-    portCap_[kMulDivGroup] = config_.mulDivPorts;
-    portCap_[kFpGroup] = config_.fpPorts;
-    portCap_[kLoadGroup] = config_.loadPorts;
-    portCap_[kStoreGroup] = config_.storePorts;
-    candidates_.reserve(size_t{kNumPortGroups} * config_.issueWidth);
+    ageBits_.assign(readyWords_, 0);
+    const unsigned ports[kNumPortGroups] = {
+        config_.aluPorts, config_.mulDivPorts, config_.fpPorts,
+        config_.loadPorts, config_.storePorts};
+    for (unsigned g = 0; g < kNumPortGroups; ++g)
+        selectCap_[g] = std::min(ports[g], config_.issueWidth);
+    for (size_t c = 0; c < kNumOpClasses; ++c) {
+        const auto cls = static_cast<OpClass>(c);
+        classGroup_[c] = portGroup(cls);
+        classLatency_[c] = cls == OpClass::Load ? 0 : execLatency(cls);
+    }
     // fetchStage checks the cap before a fetch group, then pushes up to
     // fetchWidth ops, so the queue can exceed the cap by one group.
     fetchQueue_.reset(size_t{2} * config_.fetchWidth * config_.frontendDepth +
@@ -113,13 +121,13 @@ Core::commitStage()
             rob_[static_cast<uint32_t>(robHeadSeq_) & robMask_];
         if (head.readyCycle > now_)
             break; // not issued, or its result is not ready yet
-        if (head.cls == OpClass::Load) {
-            if (loadsInFlight_ > 0)
-                --loadsInFlight_;
-        } else if (head.cls == OpClass::Store) {
-            if (storesInFlight_ > 0)
-                --storesInFlight_;
-        }
+        // An op's class is random data to the branch predictor, so the
+        // queue counts update without branching on it (here and at
+        // dispatch).
+        loadsInFlight_ -=
+            (head.cls == OpClass::Load) & (loadsInFlight_ > 0);
+        storesInFlight_ -=
+            (head.cls == OpClass::Store) & (storesInFlight_ > 0);
         ++robHeadSeq_;
         --robCount_;
         ++counters_.committed;
@@ -149,34 +157,17 @@ Core::wake(uint32_t slot, uint64_t operands_ready)
     bucket = slot;
 }
 
-void
-Core::collectOldestReady(unsigned group, uint32_t head_slot,
-                         unsigned limit)
+uint64_t
+Core::readyByAge(unsigned group, uint32_t head_slot, size_t age_word) const
 {
-    if (limit == 0)
-        return;
+    // Ages 64k..64k+63 are the slots from head_slot + 64k on, which
+    // straddle two circularly adjacent words.
     const uint64_t *bits = &readyBits_[group * readyWords_];
-    const size_t first = head_slot >> 6;
-    const unsigned head_bit = head_slot & 63;
-    unsigned found = 0;
-    // Oldest first: the head's word from the head's bit up, the words
-    // after it (wrapping), then the head's word below the head's bit.
-    for (size_t i = 0; i <= readyWords_; ++i) {
-        const size_t w = first + i < readyWords_ ? first + i
-                                                 : first + i - readyWords_;
-        uint64_t word = bits[w];
-        if (i == 0)
-            word &= ~uint64_t{0} << head_bit;
-        else if (i == readyWords_)
-            word &= (uint64_t{1} << head_bit) - 1;
-        for (; word != 0; word &= word - 1) {
-            const uint32_t slot =
-                static_cast<uint32_t>(w * 64) + std::countr_zero(word);
-            candidates_.push_back((slot - head_slot) & robMask_);
-            if (++found == limit)
-                return;
-        }
-    }
+    const size_t w = (head_slot >> 6) + age_word;
+    const uint64_t lo = bits[w & (readyWords_ - 1)];
+    const uint64_t hi = bits[(w + 1) & (readyWords_ - 1)];
+    const unsigned shift = head_slot & 63;
+    return shift == 0 ? lo : (lo >> shift) | (hi << (64 - shift));
 }
 
 void
@@ -196,28 +187,49 @@ Core::issueStage(double freq_ghz)
         }
     }
 
-    // Select: each group's oldest min(ports, issueWidth) ready ops, cut
-    // to the oldest issueWidth. That is what an oldest-first walk of
-    // the waiting ops takes when it takes each ready op whose group has
-    // a free port and stops at issueWidth, because no op issued this
-    // cycle makes another ready this cycle (every latency is >= 1).
-    candidates_.clear();
+    // Select: mark each group's oldest min(ports, issueWidth) ready ops
+    // by age, keeping the oldest issueWidth marks, then issue those. That
+    // is what an oldest-first walk of the waiting ops takes when it
+    // takes each ready op whose group has a free port and stops at
+    // issueWidth, because no op issued this cycle makes another ready
+    // this cycle (every latency is >= 1). Marking ends before the first
+    // issue, whose wakeups change the bitmaps; issuing in age order lets
+    // memory accesses, counters and the mispredict redirect see the
+    // oldest-first sequence.
+    unsigned need[kNumPortGroups];
+    bool any = false;
+    for (unsigned g = 0; g < kNumPortGroups; ++g) {
+        need[g] = std::min(selectCap_[g], readyCount_[g]);
+        any |= need[g] != 0;
+    }
+    if (!any)
+        return;
     const uint32_t head_slot =
         static_cast<uint32_t>(robHeadSeq_) & robMask_;
-    for (unsigned g = 0; g < kNumPortGroups; ++g)
-        if (readyCount_[g] != 0)
-            collectOldestReady(g, head_slot,
-                               std::min(portCap_[g], config_.issueWidth));
-    if (candidates_.empty())
-        return;
-    std::sort(candidates_.begin(), candidates_.end());
-    const size_t n =
-        std::min<size_t>(candidates_.size(), config_.issueWidth);
-    // Issue in age order, so memory accesses, counters and the
-    // mispredict redirect see the oldest-first sequence.
-    for (size_t i = 0; i < n; ++i) {
-        const uint32_t age = candidates_[i];
-        issue((head_slot + age) & robMask_, robHeadSeq_ + age, freq_ghz);
+    unsigned left = config_.issueWidth;
+    size_t words = 0;
+    while (any && left != 0 && words < readyWords_) {
+        uint64_t marks = 0;
+        any = false;
+        for (unsigned g = 0; g < kNumPortGroups; ++g) {
+            if (need[g] == 0)
+                continue;
+            for (uint64_t ready = readyByAge(g, head_slot, words);
+                 ready != 0 && need[g] != 0; ready &= ready - 1, --need[g])
+                marks |= ready & -ready;
+            any |= need[g] != 0;
+        }
+        uint64_t oldest = 0;
+        for (; marks != 0 && left != 0; marks &= marks - 1, --left)
+            oldest |= marks & -marks;
+        ageBits_[words++] = oldest;
+    }
+    for (size_t w = 0; w < words; ++w) {
+        for (uint64_t word = ageBits_[w]; word != 0; word &= word - 1) {
+            const uint32_t age =
+                static_cast<uint32_t>(w * 64) + std::countr_zero(word);
+            issue((head_slot + age) & robMask_, robHeadSeq_ + age, freq_ghz);
+        }
     }
 }
 
@@ -247,7 +259,7 @@ Core::issue(uint32_t slot, uint64_t seq, double freq_ghz)
         // The store buffer hides the write latency from the pipeline.
         e.readyCycle = now_ + (is_store ? 1 : r.latencyCycles);
     } else {
-        e.readyCycle = now_ + execLatency(e.cls);
+        e.readyCycle = now_ + classLatency_[static_cast<size_t>(e.cls)];
     }
 
     // A mispredicted branch redirects fetch when it resolves.
@@ -307,34 +319,31 @@ Core::dispatchStage()
             rob_full = true;
             break;
         }
-        if (f.op.cls == OpClass::Load &&
-            loadsInFlight_ >= config_.loadQueueSize) {
-            lsq_full = true;
-            break;
-        }
-        if (f.op.cls == OpClass::Store &&
-            storesInFlight_ >= config_.storeQueueSize) {
+        const bool is_load = f.cls == OpClass::Load;
+        const bool is_store = f.cls == OpClass::Store;
+        if ((is_load & (loadsInFlight_ >= config_.loadQueueSize)) |
+            (is_store & (storesInFlight_ >= config_.storeQueueSize))) {
             lsq_full = true;
             break;
         }
 
-        // Dispatch is in order, so f.seq == robHeadSeq_ + robCount_ and
-        // every in-window producer is already in the ROB.
-        const uint32_t slot = static_cast<uint32_t>(f.seq) & robMask_;
+        // Every fetched op dispatches, in order, so this op's sequence
+        // number is the one after the ROB's youngest, and every
+        // in-window producer is already in the ROB.
+        const uint64_t seq = robHeadSeq_ + robCount_;
+        const uint32_t slot = static_cast<uint32_t>(seq) & robMask_;
         RobEntry &e = rob_[slot];
         e = RobEntry{};
-        e.addr = f.op.addr;
-        e.cls = f.op.cls;
-        e.group = portGroup(f.op.cls);
+        e.addr = f.addr;
+        e.cls = f.cls;
+        e.group = classGroup_[static_cast<size_t>(f.cls)];
         e.mispredicted = f.mispredicted;
-        linkProducer(e, slot, 0, f.op.srcDist0, f.seq);
-        linkProducer(e, slot, 1, f.op.srcDist1, f.seq);
+        linkProducer(e, slot, 0, f.srcDist0, seq);
+        linkProducer(e, slot, 1, f.srcDist1, seq);
         if (e.pendingProducers == 0)
             wake(slot, e.operandsReadyCycle);
-        if (f.op.cls == OpClass::Load)
-            ++loadsInFlight_;
-        else if (f.op.cls == OpClass::Store)
-            ++storesInFlight_;
+        loadsInFlight_ += is_load;
+        storesInFlight_ += is_store;
         ++robCount_;
         fetchQueue_.pop_front();
         ++dispatched;
@@ -379,23 +388,22 @@ Core::fetchStage()
             accessed_icache = true;
         }
 
-        FetchedOp f;
-        f.op = op;
-        f.seq = nextSeq_++;
-        f.readyAtCycle = now_ + config_.frontendDepth;
-        f.mispredicted = false;
+        const uint64_t seq = nextSeq_++;
+        bool mispredicted = false;
         if (op.cls == OpClass::Branch) {
             ++counters_.branchLookups;
             const bool correct = bpred_.predictAndUpdate(op.pc, op.taken);
             if (!correct) {
                 ++counters_.branchMispredicts;
-                f.mispredicted = true;
-                pendingBranchSeq_ = f.seq;
+                mispredicted = true;
+                pendingBranchSeq_ = seq;
             }
         }
         ++counters_.fetched;
-        fetchQueue_.push_back(f);
-        if (f.mispredicted)
+        fetchQueue_.push_back({op.addr, now_ + config_.frontendDepth,
+                               op.srcDist0, op.srcDist1, op.cls,
+                               mispredicted});
+        if (mispredicted)
             break; // stop fetching past the mispredicted branch
     }
 }

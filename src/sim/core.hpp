@@ -12,10 +12,11 @@
  * Issue is event-driven. At dispatch an op links itself onto the
  * consumer list of each unissued producer; the producer's issue wakes
  * it, and once its operands are ready it sits in a per-port-group ready
- * bitmap over ROB slots. Select takes each group's oldest ready ops up
- * to the group's port count and issues the oldest issueWidth of those
- * in age order, which is exactly what an oldest-first walk of the
- * window picks, so no cycle re-walks the waiting ops.
+ * bitmap over ROB slots. Select marks each group's oldest ready ops,
+ * up to the group's port count, in a bitmap ordered by age and issues
+ * the oldest issueWidth of those in age order, which is exactly what
+ * an oldest-first walk of the window picks, so no cycle re-walks the
+ * waiting ops.
  *
  * Configurable knobs (the paper's inputs): ROB size (power-gated in
  * 16-entry partitions per Ponomarev et al. [37]) and, via the memory
@@ -135,11 +136,14 @@ class Core
         bool mispredicted = false;
     };
 
+    /** What dispatch reads of a fetched op. */
     struct FetchedOp
     {
-        MicroOp op;
-        uint64_t seq;
+        uint64_t addr;
         uint64_t readyAtCycle; //!< When it may dispatch.
+        uint16_t srcDist0;
+        uint16_t srcDist1;
+        OpClass cls;
         bool mispredicted;
     };
 
@@ -152,8 +156,8 @@ class Core
                       uint16_t dist, uint64_t seq);
     void wake(uint32_t slot, uint64_t operands_ready);
     void setReady(uint32_t slot);
-    void collectOldestReady(unsigned group, uint32_t head_slot,
-                            unsigned limit);
+    uint64_t readyByAge(unsigned group, uint32_t head_slot,
+                        size_t age_word) const;
     void issue(uint32_t slot, uint64_t seq, double freq_ghz);
     static PortGroup portGroup(OpClass cls);
     unsigned execLatency(OpClass cls) const;
@@ -168,7 +172,7 @@ class Core
 
     RingBuffer<FetchedOp> fetchQueue_;
 
-    /** ROB slots, a power-of-two count >= robSizeMax. */
+    /** ROB slots, a power-of-two count >= max(robSizeMax, 64). */
     std::vector<RobEntry> rob_;
     uint32_t robMask_ = 0;
     uint64_t robHeadSeq_ = 1; //!< Oldest op in the ROB (when non-empty).
@@ -189,10 +193,18 @@ class Core
     std::vector<uint64_t> readyBits_;
     size_t readyWords_ = 0;
     unsigned readyCount_[kNumPortGroups] = {};
-    unsigned portCap_[kNumPortGroups] = {};
+    /** Per group, min(ports, issueWidth): the most one cycle issues. */
+    unsigned selectCap_[kNumPortGroups] = {};
 
-    /** Select scratch: ROB ages of this cycle's candidates. */
-    std::vector<uint32_t> candidates_;
+    /**
+     * Select scratch: the ops this cycle issues, one bit per age (ROB
+     * position from the head).
+     */
+    std::vector<uint64_t> ageBits_;
+
+    /** portGroup and execLatency by OpClass (loads' latency is 0). */
+    uint8_t classGroup_[kNumOpClasses] = {};
+    unsigned classLatency_[kNumOpClasses] = {};
 
     unsigned loadsInFlight_ = 0;
     unsigned storesInFlight_ = 0;

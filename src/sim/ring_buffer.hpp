@@ -27,13 +27,14 @@ class RingBuffer
     reset(size_t capacity)
     {
         buf_.assign(capacity, T{});
+        capacity_ = capacity;
         head_ = 0;
         count_ = 0;
     }
 
     size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
-    size_t capacity() const { return buf_.size(); }
+    size_t capacity() const { return capacity_; }
 
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
@@ -41,8 +42,8 @@ class RingBuffer
     void
     push_back(const T &v)
     {
-        if (count_ == buf_.size())
-            panic("RingBuffer overflow (capacity ", buf_.size(), ")");
+        if (count_ == capacity_)
+            panic("RingBuffer overflow (capacity ", capacity_, ")");
         buf_[wrap(head_ + count_)] = v;
         ++count_;
     }
@@ -62,10 +63,11 @@ class RingBuffer
     size_t
     wrap(size_t i) const
     {
-        return i >= buf_.size() ? i - buf_.size() : i;
+        return i >= capacity_ ? i - capacity_ : i;
     }
 
     std::vector<T> buf_;
+    size_t capacity_ = 0; //!< buf_.size(), kept off the vector's pointers.
     size_t head_ = 0;
     size_t count_ = 0;
 };

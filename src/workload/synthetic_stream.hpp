@@ -6,7 +6,7 @@
 
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "common/random.hpp"
 #include "sim/instruction.hpp"
@@ -37,22 +37,48 @@ class SyntheticStream : public InstructionSource
 
     const AppSpec &spec() const { return spec_; }
 
+    /** A static branch of the current phase. */
+    struct BranchSite
+    {
+        uint64_t pc;
+        uint64_t takenThreshold; //!< Rng::threshold of P(taken).
+    };
+
+    /**
+     * What next() draws against in the current phase, derived once on
+     * entering it so that no op recomputes it: each probability as its
+     * Rng::threshold, the class cuts and the region sizes.
+     */
+    struct PhaseDraws
+    {
+        std::array<BranchSite, 64> branchSites{};
+        /**
+         * A class draw whose top 53 bits are m picks the class at
+         * position (number of cuts <= m) of the mix's subtract chain:
+         * Load, Store, Branch, IntMul, IntDiv, FpAlu, FpMul, FpDiv,
+         * then IntAlu.
+         */
+        std::array<uint64_t, kNumOpClasses - 1> classCuts{};
+        uint64_t depStop0 = 0;     //!< First source's geometric stop.
+        uint64_t depStop1 = 0;     //!< Second source's, half as likely.
+        uint64_t streamAccess = 0; //!< Streaming vs hot-set access.
+        uint64_t codeBytes = 0;    //!< Wrap of the sequential code walk.
+        uint64_t streamBytes = 0;  //!< Wrap of the streaming walk.
+        uint64_t hotLines = 0;     //!< 64B lines in the hot set.
+    };
+
+    const PhaseDraws &phaseDraws() const { return draws_; }
+
   private:
     void enterPhase(size_t idx);
+    uint16_t depDistance(uint64_t stop_threshold);
 
     AppSpec spec_;
     Rng rng_;
     size_t phaseIdx_ = 0;
     uint64_t epoch_ = 0;
     uint64_t epochInPhase_ = 0;
-
-    // Per-phase derived state.
-    struct BranchSite
-    {
-        uint64_t pc;
-        double takenProb;
-    };
-    std::vector<BranchSite> branchSites_;
+    PhaseDraws draws_;
     uint64_t streamPtr_ = 0;
     uint64_t codePtr_ = 0;
 

@@ -571,12 +571,15 @@ TEST(CoreReferenceTest, DefaultCoreMatchesWindowScan)
 
 TEST(CoreReferenceTest, RandomConfigsMatchWindowScan)
 {
-    const unsigned rob_sizes[] = {16, 96, 128};
+    // One to eight 64-slot words of ready bits (200 and 512 make select
+    // wrap across four and eight), each size at every issue width.
+    const unsigned rob_sizes[] = {16, 96, 128, 200, 512};
+    const unsigned num_sizes = std::size(rob_sizes);
     std::mt19937_64 rng(2024);
-    for (unsigned trial = 0; trial < 48; ++trial) {
+    for (unsigned trial = 0; trial < 16 * num_sizes; ++trial) {
         CoreConfig cfg;
-        cfg.robSizeMax = rob_sizes[trial % 3];
-        cfg.issueWidth = 1 + (trial / 3) % 4;
+        cfg.robSizeMax = rob_sizes[trial % num_sizes];
+        cfg.issueWidth = 1 + (trial / num_sizes) % 4;
         cfg.fetchWidth = 1 + rng() % 4;
         cfg.commitWidth = 1 + rng() % 4;
         cfg.frontendDepth = 1 + rng() % 5;
@@ -624,13 +627,24 @@ TEST(CoreReferenceTest, RandomConfigsMatchWindowScan)
 TEST(CoreReferenceTest, DeadPortGroupStallsLikeWindowScan)
 {
     // No multiply/divide port: the first such op never issues, blocks
-    // commit, and the ROB fills behind it exactly as the scan has it.
-    CoreConfig cfg;
-    cfg.mulDivPorts = 0;
-    StreamShape shape;
-    shape.classWeights = {20, 1, 1, 1, 1, 1, 6, 3, 4};
-    expectLockStep(cfg, smallCaches(), 7, shape,
-                   Schedule{3000, true, true, 1});
+    // commit, and the ROB fills behind it exactly as the scan has it,
+    // until a mispredicted branch that waits on it stops fetch (at 20
+    // entries with this stream). The 512-entry case fills its whole ROB
+    // (no branches, queues as large as the ROB, no resizes), so the
+    // last ops to issue sit in the last of eight bitmap words.
+    for (const unsigned rob : {128u, 512u}) {
+        CoreConfig cfg;
+        cfg.robSizeMax = rob;
+        cfg.mulDivPorts = 0;
+        StreamShape shape;
+        shape.classWeights = {20, 1, 1, 1, 1, 1, 6, 3, 4};
+        if (rob == 512) {
+            cfg.loadQueueSize = cfg.storeQueueSize = rob;
+            shape.classWeights.back() = 0;
+        }
+        expectLockStep(cfg, smallCaches(), 7, shape,
+                       Schedule{3000, rob != 512, true, 1});
+    }
 }
 
 TEST(CoreReferenceTest, SerialChainsAndLongLatenciesMatch)
