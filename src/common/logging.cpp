@@ -1,40 +1,19 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
-namespace mimoarch {
-
-namespace {
-// Atomic so sweep worker threads can warn() while the main thread
-// owns the level; messages themselves go through stdio, which locks.
-std::atomic<LogLevel> g_level{LogLevel::Normal};
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
+namespace mimoarch::detail {
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-void
-fatalImpl(const char *, int, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::exit(1);
 }
 
 void
-panicImpl(const char *, int, const std::string &msg)
+panicImpl(const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s\n", msg.c_str());
     std::abort();
@@ -43,17 +22,13 @@ panicImpl(const char *, int, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (logLevel() != LogLevel::Quiet)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (logLevel() != LogLevel::Quiet)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
-} // namespace detail
-
-} // namespace mimoarch
+} // namespace mimoarch::detail

@@ -19,19 +19,10 @@
 
 namespace mimoarch {
 
-/** Verbosity levels for runtime logging. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/** Get the global log level (default: Normal). */
-LogLevel logLevel();
-
-/** Set the global log level. */
-void setLogLevel(LogLevel level);
-
 namespace detail {
 
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
+[[noreturn]] void panicImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -52,7 +43,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    detail::fatalImpl("", 0, detail::format(std::forward<Args>(args)...));
+    detail::fatalImpl(detail::format(std::forward<Args>(args)...));
 }
 
 /** Report a library bug and abort. */
@@ -60,7 +51,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    detail::panicImpl("", 0, detail::format(std::forward<Args>(args)...));
+    detail::panicImpl(detail::format(std::forward<Args>(args)...));
 }
 
 /** Warn without stopping. */
@@ -71,7 +62,7 @@ warn(Args &&...args)
     detail::warnImpl(detail::format(std::forward<Args>(args)...));
 }
 
-/** Print an informational status message (suppressed when Quiet). */
+/** Print an informational status message. */
 template <typename... Args>
 void
 inform(Args &&...args)

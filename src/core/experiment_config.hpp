@@ -24,49 +24,6 @@
 namespace mimoarch {
 
 /**
- * Deterministic fault schedule for robustness experiments. The struct
- * is plain data (the FaultInjector in src/robustness consumes it) so
- * every experiment can declare its fault environment next to its
- * control parameters. Rates are per epoch; everything draws from
- * @ref seed, so a given (config, seed) pair replays the exact same
- * fault sequence.
- */
-struct FaultScheduleConfig
-{
-    bool enabled = false;
-    uint64_t seed = 0xFA171;
-
-    /** Probability per epoch that a sensor fault event starts. */
-    double sensorFaultRate = 0.0;
-    /** Probability per epoch that an actuator fault event starts. */
-    double actuatorFaultRate = 0.0;
-
-    /** Epoch window in which faults may fire. */
-    size_t startEpoch = 0;
-    size_t endEpoch = SIZE_MAX;
-
-    // Relative mix of the sensor fault classes (need not sum to 1).
-    double weightNaN = 1.0;      //!< Reading becomes NaN/Inf.
-    double weightStuckAt = 1.0;  //!< Reading freezes at its last value.
-    double weightSpike = 1.0;    //!< Reading multiplied by spikeFactor.
-    double weightDropout = 1.0;  //!< Reading goes to zero.
-    double weightDrift = 1.0;    //!< Reading accumulates relative bias.
-
-    double spikeFactor = 8.0;     //!< Outlier magnitude multiplier.
-    double driftPerEpoch = 0.01;  //!< Relative bias added per epoch.
-    size_t stuckEpochs = 25;      //!< Duration of a stuck-at event.
-    size_t dropoutEpochs = 3;     //!< Duration of a dropout event.
-    size_t driftEpochs = 150;     //!< Duration of a drift event.
-
-    // Actuator fault mix and durations.
-    double weightDropTransition = 1.0;  //!< DVFS command ignored.
-    double weightLagTransition = 1.0;   //!< DVFS applied N epochs late.
-    double weightStuckCache = 1.0;      //!< Way-gating frozen.
-    size_t lagEpochs = 4;               //!< DVFS lag length.
-    size_t cacheStuckEpochs = 40;       //!< Way-gating freeze length.
-};
-
-/**
  * Multi-core chip topology for chip-level experiments (DESIGN.md §14).
  * Plain data: ChipInstance (src/chip) consumes it; single-core
  * experiments leave it at the defaults (1 core, arbiter off), which is
@@ -125,9 +82,6 @@ struct ExperimentConfig
     double inputWeightScale = 1e5;
     double measurementNoiseInflation = 100.0;
 
-    /** Fault environment for robustness experiments (off by default). */
-    FaultScheduleConfig faults{};
-
     /**
      * Plant tier this experiment runs against (DESIGN.md §13). Folded
      * into fingerprint() so analytic sweeps journal and cache under a
@@ -182,17 +136,6 @@ struct ExperimentConfig
         h.u64(sysidEpochsPerApp).u64(validationEpochsPerApp)
             .u64(warmupEpochs);
         h.f64(inputWeightScale).f64(measurementNoiseInflation);
-        const FaultScheduleConfig &f = faults;
-        h.u64(f.enabled ? 1 : 0).u64(f.seed);
-        h.f64(f.sensorFaultRate).f64(f.actuatorFaultRate);
-        h.u64(f.startEpoch).u64(f.endEpoch);
-        h.f64(f.weightNaN).f64(f.weightStuckAt).f64(f.weightSpike)
-            .f64(f.weightDropout).f64(f.weightDrift);
-        h.f64(f.spikeFactor).f64(f.driftPerEpoch);
-        h.u64(f.stuckEpochs).u64(f.dropoutEpochs).u64(f.driftEpochs);
-        h.f64(f.weightDropTransition).f64(f.weightLagTransition)
-            .f64(f.weightStuckCache);
-        h.u64(f.lagEpochs).u64(f.cacheStuckEpochs);
         h.u64(static_cast<uint64_t>(fidelity));
         h.u64(chip.nCores).u64(chip.l2Ways).f64(chip.powerEnvelopeW);
         h.u64(chip.arbiterPeriodEpochs).u64(chip.arbiterEnabled ? 1 : 0);

@@ -172,9 +172,10 @@ void
 EpochDriver::stepEpoch()
 {
     const size_t t = epoch_;
-    // Cooperative cancellation (sweep watchdog / fail-fast abort):
-    // one relaxed load per epoch, numerically invisible to runs
-    // that are never canceled.
+    // Cooperative cancellation (attempt deadline / fail-fast abort):
+    // a relaxed load per token up to the sweep's root, plus a clock
+    // read under --job-timeout; numerically invisible to runs that
+    // are never canceled.
     if (config_.cancel && config_.cancel->canceled()) {
         throw CanceledError("EpochDriver: canceled at epoch " +
                             std::to_string(t) + "/" +

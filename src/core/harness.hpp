@@ -130,9 +130,10 @@ struct DriverConfig
     /**
      * Optional cooperative cancellation (not owned; null = never
      * canceled). Polled once per epoch; when set, run() unwinds with
-     * CanceledError. The check reads one relaxed atomic and never
-     * perturbs the numeric path, so a run that is NOT canceled is
-     * bit-identical with or without a token — the sweep watchdog and
+     * CanceledError. The check reads the token's relaxed flags (and
+     * the clock when it carries a deadline) and never perturbs the
+     * numeric path, so a run that is NOT canceled is bit-identical
+     * with or without a token — the sweep's per-attempt deadline and
      * fail-fast abort hang off this without breaking determinism.
      */
     const CancellationToken *cancel = nullptr;

@@ -18,20 +18,4 @@ makePlant(const AppSpec &app, const KnobSpace &knobs,
     return std::make_unique<SimPlant>(app, knobs, proc, seed_salt);
 }
 
-void
-warmupPlant(Plant &plant, size_t epochs)
-{
-    if (auto *sim = dynamic_cast<SimPlant *>(&plant)) {
-        sim->warmup(epochs);
-        return;
-    }
-    if (auto *sur = dynamic_cast<SurrogatePlant *>(&plant)) {
-        sur->warmup(epochs);
-        return;
-    }
-    // Generic fallback: epochs at the current settings.
-    for (size_t i = 0; i < epochs; ++i)
-        plant.step(plant.currentSettings());
-}
-
 } // namespace mimoarch::exec

@@ -25,10 +25,4 @@ makePlant(const AppSpec &app, const KnobSpace &knobs,
           const ExperimentConfig &cfg, const ProcessorConfig &proc = {},
           uint64_t seed_salt = 0, uint64_t proc_tag = 0);
 
-/**
- * Warm a factory-built plant up for @p epochs at its current settings
- * (both tiers implement warmup, but not through the Plant interface).
- */
-void warmupPlant(Plant &plant, size_t epochs);
-
 } // namespace mimoarch::exec

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -41,7 +40,25 @@ failureCauseName(FailureCause cause)
 
 namespace {
 
-/** The retry/watchdog/journal state machine behind runResilient(). */
+using Clock = CancellationToken::Clock;
+
+/**
+ * Sleep for @p d in 2 ms slices, cut short when @p token is canceled.
+ * Returns false when the token was canceled before the time was up.
+ */
+bool
+sleepUnlessCanceled(Clock::duration d, const CancellationToken &token)
+{
+    const Clock::time_point until = Clock::now() + d;
+    while (Clock::now() < until) {
+        if (token.canceled())
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
+}
+
+/** The retry/timeout/journal state machine behind runResilient(). */
 class Engine
 {
   public:
@@ -50,9 +67,8 @@ class Engine
            bool progress)
         : workers_(workers), jobs_(std::move(jobs)), policy_(policy),
           progress_(progress), chaos_(policy.chaos),
-          done_(jobs_.size(), 0), flights_(jobs_.size())
+          done_(jobs_.size(), 0)
     {
-        tokens_.resize(jobs_.size());
         if (!policy_.resumePath.empty()) {
             journal_ = std::make_unique<SweepJournal>(policy_.resumePath,
                                                       fingerprint);
@@ -79,33 +95,12 @@ class Engine
             if (!done_[i])
                 todo.push_back(i);
 
-        std::thread watchdog;
-        if (policy_.jobTimeoutS > 0.0 && !todo.empty())
-            watchdog = std::thread([this] { watchdogLoop(); });
-
         parallelFor(todo.size(), workers_,
                     [&](size_t k) { runJob(todo[k]); });
-
-        if (watchdog.joinable()) {
-            {
-                std::lock_guard<std::mutex> lk(wdMutex_);
-                wdStop_ = true;
-            }
-            wdCv_.notify_all();
-            watchdog.join();
-        }
-
         return finalize();
     }
 
   private:
-    struct Flight
-    {
-        bool active = false;
-        bool timedOut = false;
-        uint64_t deadlineNs = 0; //!< 0 = no deadline armed.
-    };
-
     void
     resumeFromJournal()
     {
@@ -147,7 +142,7 @@ class Engine
     {
         for (unsigned attempt = 1;; ++attempt) {
             if (attempt > 1)
-                backoffSleep(i, attempt);
+                (void)sleepUnlessCanceled(backoff(i, attempt), abort_);
             if (!attemptOnce(i, attempt))
                 return; // resolved (success or permanent failure)
         }
@@ -157,7 +152,7 @@ class Engine
     bool
     attemptOnce(size_t i, unsigned attempt)
     {
-        if (aborting_.load(std::memory_order_relaxed)) {
+        if (abort_.canceled()) {
             finishFailure(i, attempt - 1, FailureCause::Canceled,
                           "canceled before attempt " +
                               std::to_string(attempt) +
@@ -165,20 +160,10 @@ class Engine
             return false;
         }
 
-        CancellationToken *token;
-        {
-            std::lock_guard<std::mutex> lk(wdMutex_);
-            tokens_[i] = std::make_unique<CancellationToken>();
-            token = tokens_[i].get();
-            Flight &f = flights_[i];
-            f.active = true;
-            f.timedOut = false;
-            f.deadlineNs =
-                policy_.jobTimeoutS > 0.0
-                    ? telemetry::nowNs() +
-                          static_cast<uint64_t>(policy_.jobTimeoutS * 1e9)
-                    : 0;
-        }
+        // The attempt's token lives exactly as long as the attempt: a
+        // fail-fast abort reaches it through its parent, and the
+        // --job-timeout deadline through the job's own polls.
+        const CancellationToken token(&abort_, attemptDeadline());
 
         const ChaosAction act =
             chaos_.sample(jobSeed(jobs_[i].key), attempt);
@@ -196,9 +181,11 @@ class Engine
                                  static_cast<int64_t>(i));
             if (act == ChaosAction::Throw)
                 throw ChaosError("chaos: injected exception");
-            if (act == ChaosAction::Delay)
-                cancellableSleep(chaos_.delayMs(), *token);
-            const JobContext ctx{jobs_[i].key, i, attempt, *token};
+            if (act == ChaosAction::Delay &&
+                !sleepUnlessCanceled(
+                    std::chrono::milliseconds(chaos_.delayMs()), token))
+                throw CanceledError("canceled during chaos delay");
+            const JobContext ctx{jobs_[i].key, i, attempt, token};
             jobs_[i].run(ctx);
             if (act == ChaosAction::Invalid) {
                 throw InvalidResultError(
@@ -222,13 +209,7 @@ class Engine
             message = "non-exception throw";
         }
 
-        bool timed_out = false;
-        {
-            std::lock_guard<std::mutex> lk(wdMutex_);
-            timed_out = flights_[i].timedOut;
-            flights_[i].active = false;
-        }
-        if (failed && cause == FailureCause::Canceled && timed_out)
+        if (failed && cause == FailureCause::Canceled && token.expired())
             cause = FailureCause::Timeout;
 
         if (!failed) {
@@ -247,7 +228,7 @@ class Engine
 
         const bool retry = attempt < policy_.maxAttempts &&
                            cause != FailureCause::Canceled &&
-                           !aborting_.load(std::memory_order_relaxed);
+                           !abort_.canceled();
         if (retry) {
             retries_.fetch_add(1, std::memory_order_relaxed);
             tmRetries_->add(1);
@@ -297,38 +278,27 @@ class Engine
         // Exceeding --max-failures does NOT abort: the default policy
         // lets every healthy job finish (results the caller may still
         // want journaled) and throws from finalize(). Only --fail-fast
-        // trades that completeness for an immediate stop.
+        // trades that completeness for an immediate stop: cancelling
+        // the root reaches every attempt in flight through its token's
+        // parent, and queued attempts resolve as Canceled unrun.
         if (policy_.failFast)
-            beginAbort();
+            abort_.requestCancel();
         tick(resolved);
     }
 
-    /** First (and only effective) call cancels everything in flight;
-     *  queued attempts then resolve as Canceled without running. */
-    void
-    beginAbort()
+    /** The --job-timeout deadline for an attempt starting now
+     *  (time_point::max() = none). */
+    Clock::time_point
+    attemptDeadline() const
     {
-        bool expected = false;
-        if (!aborting_.compare_exchange_strong(expected, true))
-            return;
-        std::lock_guard<std::mutex> lk(wdMutex_);
-        for (size_t i = 0; i < flights_.size(); ++i) {
-            if (flights_[i].active && tokens_[i])
-                tokens_[i]->requestCancel();
-        }
-    }
-
-    /** Chaos delay: sleeps in small slices so cancellation (watchdog
-     *  deadline, fail-fast abort) cuts the stall short. */
-    void
-    cancellableSleep(uint32_t ms, const CancellationToken &token)
-    {
-        const uint64_t until = telemetry::nowNs() + uint64_t{ms} * 1000000;
-        while (telemetry::nowNs() < until) {
-            if (token.canceled())
-                throw CanceledError("canceled during chaos delay");
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
+        if (!(policy_.jobTimeoutS > 0.0))
+            return Clock::time_point::max();
+        // Budgets past ~30 years are clamped so the cast cannot
+        // overflow the clock's 64-bit tick count.
+        const std::chrono::duration<double> budget(
+            std::min(policy_.jobTimeoutS, 1.0e9));
+        return Clock::now() +
+               std::chrono::duration_cast<Clock::duration>(budget);
     }
 
     /**
@@ -337,11 +307,11 @@ class Engine
      * Timing never feeds results, but a seed-derived schedule keeps
      * chaos campaigns exactly reproducible end to end.
      */
-    void
-    backoffSleep(size_t i, unsigned attempt)
+    Clock::duration
+    backoff(size_t i, unsigned attempt) const
     {
         if (policy_.retryBackoffS <= 0.0)
-            return;
+            return Clock::duration::zero();
         double scaled = policy_.retryBackoffS;
         for (unsigned k = 2; k < attempt; ++k)
             scaled *= 2.0;
@@ -351,35 +321,8 @@ class Engine
         const double jitter =
             0.5 + 0.5 * static_cast<double>(h.value() >> 11) *
                       (1.0 / 9007199254740992.0);
-        const uint64_t until =
-            telemetry::nowNs() + static_cast<uint64_t>(scaled * jitter * 1e9);
-        while (telemetry::nowNs() < until &&
-               !aborting_.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-    }
-
-    void
-    watchdogLoop()
-    {
-        const auto granule = std::chrono::milliseconds(std::max<long>(
-            1, std::min<long>(
-                   50, static_cast<long>(policy_.jobTimeoutS * 250.0))));
-        std::unique_lock<std::mutex> lk(wdMutex_);
-        while (!wdStop_) {
-            wdCv_.wait_for(lk, granule);
-            if (wdStop_)
-                return;
-            const uint64_t now = telemetry::nowNs();
-            for (size_t i = 0; i < flights_.size(); ++i) {
-                Flight &f = flights_[i];
-                if (f.active && !f.timedOut && f.deadlineNs != 0 &&
-                    now > f.deadlineNs && tokens_[i]) {
-                    f.timedOut = true;
-                    tokens_[i]->requestCancel();
-                }
-            }
-        }
+        return std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(scaled * jitter));
     }
 
     void
@@ -410,7 +353,7 @@ class Engine
 
         writeFailureReport(report);
 
-        const bool aborted = aborting_.load(std::memory_order_relaxed);
+        const bool aborted = abort_.canceled();
         if (!aborted && report.failures.size() <= policy_.maxFailures) {
             if (!report.failures.empty()) {
                 warn("sweep: completed with ", report.failures.size(),
@@ -506,12 +449,8 @@ class Engine
 
     std::vector<char> done_; //!< Resolved before execution (resume).
 
-    // Watchdog state: one flight + token per job, all under wdMutex_.
-    std::mutex wdMutex_;
-    std::condition_variable wdCv_;
-    bool wdStop_ = false;
-    std::vector<Flight> flights_;
-    std::vector<std::unique_ptr<CancellationToken>> tokens_;
+    /** Root of every attempt's token; --fail-fast cancels it. */
+    CancellationToken abort_;
 
     // Sweep accounting.
     std::mutex stateMutex_;
@@ -519,7 +458,6 @@ class Engine
     size_t completed_ = 0;
     size_t resumed_ = 0;
     size_t resolved_ = 0;
-    std::atomic<bool> aborting_{false};
     std::atomic<uint64_t> retries_{0};
     std::atomic<uint64_t> timeouts_{0};
     std::atomic<uint64_t> chaosInjections_{0};

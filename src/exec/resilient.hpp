@@ -1,19 +1,25 @@
 /**
  * @file
  * The fault-tolerant job layer under SweepRunner: job isolation,
- * watchdog + deterministic retry, checkpoint/resume, and graceful
- * degradation (see DESIGN.md §11).
+ * per-attempt deadlines + deterministic retry, checkpoint/resume, and
+ * graceful degradation (see DESIGN.md §11).
  *
  * Failure model. A sweep job can fail four ways, and each is captured
  * as a structured JobFailure instead of tearing down the sweep:
  *
  *   Exception     — the job threw (its own bug, a chaos injection).
- *   Timeout       — the watchdog deadlined the attempt and the job
- *                   unwound via its CancellationToken.
+ *   Timeout       — the attempt's --job-timeout deadline passed and
+ *                   the job unwound via its CancellationToken.
  *   InvalidResult — the job returned, but its result failed validation
  *                   (non-finite metrics, chaos-declared invalid).
  *   Canceled      — the sweep aborted (fail-fast / failure budget
  *                   exhausted) before or during this job's attempt.
+ *
+ * Cancellation. The engine keeps one sweep-wide root token, which
+ * --fail-fast cancels. Each attempt builds its own token on its
+ * stack as that root's child, carrying the --job-timeout deadline,
+ * and hands it to the job as JobContext::cancel. The job's own polls
+ * read the deadline, so no thread watches the clock.
  *
  * Retry determinism. A failed attempt is retried up to maxAttempts
  * times with a deterministic, seed-derived backoff. Because every job
@@ -129,15 +135,17 @@ struct JobContext
     const JobKey &key;
     size_t index;                   //!< Position in the job list.
     unsigned attempt;               //!< 1-based.
-    const CancellationToken &cancel; //!< Poll and unwind when set.
+    /** The attempt's token (valid for the attempt's lifetime): poll
+     *  it and unwind when set. */
+    const CancellationToken &cancel;
 };
 
-/** Retry / watchdog / checkpoint / degradation policy for one sweep. */
+/** Retry / timeout / checkpoint / degradation policy for one sweep. */
 struct ResilientPolicy
 {
     /** Total tries per job (1 = no retry). */
     unsigned maxAttempts = 3;
-    /** Watchdog deadline per attempt in seconds; 0 disables it. */
+    /** Deadline per attempt in seconds; 0 disables it. */
     double jobTimeoutS = 0.0;
     /** Failed jobs tolerated before the sweep throws SweepError. */
     uint64_t maxFailures = 0;
@@ -163,7 +171,7 @@ struct SweepReport
     size_t completed = 0;          //!< Jobs with a delivered result.
     size_t resumedFromJournal = 0; //!< Completed without running.
     uint64_t retries = 0;          //!< Re-attempts scheduled.
-    uint64_t timeouts = 0;         //!< Watchdog deadline trips.
+    uint64_t timeouts = 0;         //!< Attempts past their deadline.
     uint64_t chaosInjections = 0;  //!< Chaos actions that fired.
     std::vector<JobFailure> failures; //!< Sorted by job index.
 

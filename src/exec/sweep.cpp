@@ -13,14 +13,15 @@ namespace mimoarch::exec {
 namespace {
 
 /**
- * Legacy trace capacity a --telemetry run arms the global buffer with
- * when the caller does not size it (SweepOptions::traceEpochs == 0):
- * room for the per-epoch events of a full 23-app x 4-arch x
- * 2000-epoch figure sweep. Overflow drops (and counts) rather than
- * reallocating. Sized runs use telemetry::traceCapacityForEpochs()
- * instead, keeping telemetry-ON RSS proportional to the workload.
+ * Trace slots a --telemetry run arms the global buffer with. The
+ * largest sweep, fig_fault_resilience, records 621,896 events: 5
+ * rates x 23 apps x 3 loops x 1800 = 621,000 epoch spans plus its
+ * job, run, warm-up, design and supervisor events. 2^20 slots hold
+ * them with ~425k to spare. The slots are reserved, not written, at
+ * start(), so resident memory follows the events actually recorded
+ * (56 B each). Overflow drops (and counts) rather than reallocating.
  */
-constexpr size_t kTraceCapacity = size_t{1} << 19;
+constexpr size_t kTraceCapacity = size_t{1} << 20;
 
 unsigned
 parseJobCount(const char *text, const char *flag)
@@ -102,12 +103,6 @@ parseSweepArgs(int argc, char **argv)
             opt.jobs = parseJobCount(v, "--jobs");
         } else if ((v = flagValue(arg, "--telemetry", argc, argv, i))) {
             opt.telemetry = v;
-        } else if ((v = flagValue(arg, "--trace-epochs", argc, argv,
-                                  i))) {
-            opt.traceEpochs = static_cast<size_t>(
-                parseU64(v, "--trace-epochs"));
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            opt.progress = true;
         } else if ((v = flagValue(arg, "--fidelity", argc, argv, i))) {
             if (std::strcmp(v, "cycle") == 0)
                 opt.fidelity = PlantFidelity::CycleLevel;
@@ -153,7 +148,6 @@ parseSweepArgs(int argc, char **argv)
         } else {
             fatal("unknown argument '", arg,
                   "' (benches accept --jobs N, --telemetry OUT.json, "
-                  "--trace-epochs N, --progress, "
                   "--fidelity cycle|analytic, --retries N, "
                   "--job-timeout S, "
                   "--max-failures N, --fail-fast, --resume PATH, "
@@ -169,11 +163,7 @@ SweepRunner::SweepRunner(const SweepOptions &options)
       resilient_(options.resilient)
 {
     if (!telemetryPath_.empty() && !telemetry::trace().enabled()) {
-        const size_t capacity =
-            options.traceEpochs > 0
-                ? telemetry::traceCapacityForEpochs(options.traceEpochs)
-                : kTraceCapacity;
-        telemetry::trace().start(capacity);
+        telemetry::trace().start(kTraceCapacity);
         armedTrace_ = true;
     }
 }

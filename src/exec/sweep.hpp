@@ -22,7 +22,10 @@
  * stay bit-identical under faults, chaos injection, and resume from a
  * checkpoint journal (see tests/exec/chaos_equivalence). The
  * fault-tolerance machinery itself lives in exec/resilient.hpp; the
- * mapJobs() entry point below is how benches reach it.
+ * mapJobs() entry point below is how benches reach it. A job's
+ * JobContext::cancel is its attempt's token: a child of the sweep's
+ * abort token carrying the --job-timeout deadline, polled by the job
+ * itself (common/cancel.hpp).
  */
 
 #pragma once
@@ -42,24 +45,20 @@ namespace mimoarch::exec {
 /** Sweep-wide execution options (the bench command-line surface). */
 struct SweepOptions
 {
-    unsigned jobs = 0;     //!< Worker threads; 0 = hardware concurrency.
-    bool progress = false; //!< Per-job completion ticks on stderr.
+    unsigned jobs = 0; //!< Worker threads; 0 = hardware concurrency.
+    /** Per-job completion ticks on stderr (benches turn it on; no
+     *  flag sets it). */
+    bool progress = false;
     /**
      * Non-empty arms the global telemetry trace buffer for the
      * runner's lifetime and, at destruction, writes a Chrome trace to
      * this path plus a flat metrics sidecar next to it (see
-     * src/telemetry/export.hpp). Arming also turns on the epoch
-     * loop's latency and error histograms (EpochDriver::stepEpoch).
+     * src/telemetry/export.hpp). Every armed run reserves the same
+     * 2^20 slots, which stay unwritten until events fill them.
+     * Arming also turns on the epoch loop's latency and error
+     * histograms (EpochDriver::stepEpoch).
      */
     std::string telemetry;
-    /**
-     * Expected total epochs across the sweep. When > 0 and this
-     * runner arms the trace buffer, the buffer is sized via
-     * telemetry::traceCapacityForEpochs() instead of the fixed legacy
-     * worst-case preallocation, so telemetry-ON memory scales with
-     * the workload. 0 keeps the legacy capacity.
-     */
-    size_t traceEpochs = 0;
     /**
      * Plant tier the bench should sweep at (--fidelity cycle|analytic,
      * DESIGN.md §13). Benches that honour it copy this into their
@@ -68,14 +67,13 @@ struct SweepOptions
      * inherently cycle-level simply ignore it.
      */
     PlantFidelity fidelity = PlantFidelity::CycleLevel;
-    /** Retry / watchdog / checkpoint / chaos policy for mapJobs(). */
+    /** Retry / timeout / checkpoint / chaos policy for mapJobs(). */
     ResilientPolicy resilient;
 };
 
 /**
  * Parse sweep flags from a bench's argv. Execution: --jobs N / -jN,
- * --telemetry PATH, --trace-epochs N, --progress,
- * --fidelity cycle|analytic. Resilience:
+ * --telemetry PATH, --fidelity cycle|analytic. Resilience:
  * --retries N,
  * --job-timeout S, --max-failures N, --fail-fast, --resume PATH,
  * --failure-report PATH. Chaos:
@@ -108,7 +106,7 @@ class SweepRunner
 
     /**
      * The resilient sweep entry point: run one job per @p key under
-     * the runner's ResilientPolicy — isolation, watchdog + retry,
+     * the runner's ResilientPolicy — isolation, deadline + retry,
      * checkpoint/resume keyed by @p fingerprint, chaos injection —
      * and return results in key order plus the execution report.
      *

@@ -208,10 +208,4 @@ spectralRadius(const Matrix &a)
     return r;
 }
 
-bool
-isSchurStable(const Matrix &a, double margin)
-{
-    return spectralRadius(a) < 1.0 - margin;
-}
-
 } // namespace mimoarch

@@ -31,7 +31,4 @@ std::vector<std::complex<double>> eigenvalues(const CMatrix &a);
 /** Largest |eigenvalue| of a real square matrix. */
 double spectralRadius(const Matrix &a);
 
-/** True when every eigenvalue lies strictly inside the unit circle. */
-bool isSchurStable(const Matrix &a, double margin = 0.0);
-
 } // namespace mimoarch

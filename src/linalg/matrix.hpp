@@ -383,18 +383,6 @@ class MatrixT
             out.data_[i] = a.data_[i] - b.data_[i];
     }
 
-    /** out = transpose(a). @p out must not alias @p a. */
-    static void
-    transposeInto(MatrixT &out, const MatrixT &a)
-    {
-        if (&out == &a)
-            panic("transposeInto: out aliases the input");
-        out.resizeShape(a.cols_, a.rows_);
-        for (size_t r = 0; r < a.rows_; ++r)
-            for (size_t c = 0; c < a.cols_; ++c)
-                out.data_[c * a.rows_ + r] = a.data_[r * a.cols_ + c];
-    }
-
     /** y += alpha * x elementwise (one rounding per multiply and add,
      *  matching `y += x * alpha` on separate statements bit-for-bit). */
     static void
@@ -405,15 +393,6 @@ class MatrixT
             const T t = alpha * x.data_[i];
             y.data_[i] += t;
         }
-    }
-
-    /** out = a * s elementwise (scaled copy feeding an accumulate). */
-    static void
-    scaleInto(MatrixT &out, const MatrixT &a, T s)
-    {
-        out.resizeShape(a.rows_, a.cols_);
-        for (size_t i = 0; i < out.data_.size(); ++i)
-            out.data_[i] = a.data_[i] * s;
     }
 
     /** Reset every element to zero, keeping shape and storage. */

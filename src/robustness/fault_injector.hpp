@@ -21,12 +21,55 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 #include "common/random.hpp"
-#include "core/experiment_config.hpp"
 #include "core/knobs.hpp"
 #include "linalg/matrix.hpp"
 
 namespace mimoarch {
+
+/**
+ * Deterministic fault schedule for robustness experiments: plain data
+ * the FaultInjector consumes. Rates are per epoch; everything draws
+ * from @ref seed, so a given (config, seed) pair replays the exact
+ * same fault sequence.
+ */
+struct FaultScheduleConfig
+{
+    bool enabled = false;
+    uint64_t seed = 0xFA171;
+
+    /** Probability per epoch that a sensor fault event starts. */
+    double sensorFaultRate = 0.0;
+    /** Probability per epoch that an actuator fault event starts. */
+    double actuatorFaultRate = 0.0;
+
+    /** Epoch window in which faults may fire. */
+    size_t startEpoch = 0;
+    size_t endEpoch = SIZE_MAX;
+
+    // Relative mix of the sensor fault classes (need not sum to 1).
+    double weightNaN = 1.0;      //!< Reading becomes NaN/Inf.
+    double weightStuckAt = 1.0;  //!< Reading freezes at its last value.
+    double weightSpike = 1.0;    //!< Reading multiplied by spikeFactor.
+    double weightDropout = 1.0;  //!< Reading goes to zero.
+    double weightDrift = 1.0;    //!< Reading accumulates relative bias.
+
+    double spikeFactor = 8.0;     //!< Outlier magnitude multiplier.
+    double driftPerEpoch = 0.01;  //!< Relative bias added per epoch.
+    size_t stuckEpochs = 25;      //!< Duration of a stuck-at event.
+    size_t dropoutEpochs = 3;     //!< Duration of a dropout event.
+    size_t driftEpochs = 150;     //!< Duration of a drift event.
+
+    // Actuator fault mix and durations.
+    double weightDropTransition = 1.0;  //!< DVFS command ignored.
+    double weightLagTransition = 1.0;   //!< DVFS applied N epochs late.
+    double weightStuckCache = 1.0;      //!< Way-gating frozen.
+    size_t lagEpochs = 4;               //!< DVFS lag length.
+    size_t cacheStuckEpochs = 40;       //!< Way-gating freeze length.
+};
 
 /** Sensor fault classes (per output channel). */
 enum class SensorFaultKind {

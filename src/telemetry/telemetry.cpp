@@ -193,7 +193,8 @@ TraceBuffer::start(size_t capacity)
         fatal("TraceBuffer::start: capacity must be positive");
     if (enabled_.load(std::memory_order_relaxed))
         fatal("TraceBuffer::start: already recording");
-    events_.assign(capacity, TraceEvent{});
+    events_ = std::make_unique_for_overwrite<TraceEvent[]>(capacity);
+    capacity_ = capacity;
     next_.store(0, std::memory_order_relaxed);
     dropped_.store(0, std::memory_order_relaxed);
     enabled_.store(true, std::memory_order_release);
@@ -208,8 +209,7 @@ TraceBuffer::stop()
 size_t
 TraceBuffer::size() const
 {
-    return std::min(next_.load(std::memory_order_acquire),
-                    events_.size());
+    return std::min(next_.load(std::memory_order_acquire), capacity_);
 }
 
 void
@@ -228,7 +228,7 @@ TraceBuffer::record(const TraceEvent &e)
     // share one. Overflow claims are counted as drops (next_ keeps
     // growing past capacity, which is fine: size() clamps).
     const size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= events_.size()) {
+    if (slot >= capacity_) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
     }

@@ -8,8 +8,9 @@
  *   - Allocation-free in steady state. Registering a metric allocates
  *     (setup phase, under a mutex); *recording* into one is a handful
  *     of relaxed atomic operations on preallocated storage. The trace
- *     buffer is sized once at start(); a full buffer drops events and
- *     counts the drops instead of growing.
+ *     buffer reserves its slots once at start() and fills them as
+ *     events are recorded; a full buffer drops events and counts the
+ *     drops instead of growing.
  *   - Thread-safe writes. Sweep workers hammer the same counters and
  *     histograms concurrently; every write path is lock-free.
  *   - Cheap when disarmed. Counters always count, but a Span with no
@@ -275,32 +276,36 @@ enum class EventType : uint8_t { Complete, Instant };
 /**
  * One trace event. Names and categories are NOT owned: pass string
  * literals (or otherwise immortal strings) only, so recording never
- * copies or allocates.
+ * copies or allocates. No member initialisers: the buffer's slots
+ * stay unwritten (and so not resident) until an event fills them,
+ * and complete() / instant() set every field.
  */
 struct TraceEvent
 {
-    const char *name = "";
-    const char *category = "";
-    const char *argKey = nullptr; //!< Optional numeric argument.
-    int64_t argValue = 0;
-    uint64_t tsNs = 0;
-    uint64_t durNs = 0; //!< Complete events only.
-    uint32_t tid = 0;
-    EventType type = EventType::Instant;
+    const char *name;
+    const char *category;
+    const char *argKey; //!< Optional numeric argument (null = none).
+    int64_t argValue;
+    uint64_t tsNs;
+    uint64_t durNs; //!< 0 for instants.
+    uint32_t tid;
+    EventType type;
 };
 
 /**
- * Fixed-capacity event sink. start(capacity) allocates the whole
- * buffer once; record() claims a slot with one fetch_add and writes in
- * place, so concurrent recorders never contend on a lock or touch the
- * heap. When the buffer is full further events are dropped (and
- * counted) rather than grown. Read the events only after the writers
- * have quiesced (after their threads have joined).
+ * Fixed-capacity event sink. start(capacity) reserves the whole
+ * buffer once, uninitialised, so resident memory grows with the
+ * events recorded, not the capacity; record() claims a slot with one
+ * fetch_add and writes in place, so concurrent recorders never
+ * contend on a lock or touch the heap. When the buffer is full
+ * further events are dropped (and counted) rather than grown. Read
+ * the events only after the writers have quiesced (after their
+ * threads have joined).
  */
 class TraceBuffer
 {
   public:
-    /** Arm the buffer: allocate @p capacity slots and start recording. */
+    /** Arm the buffer: reserve @p capacity slots and start recording. */
     void start(size_t capacity);
 
     /** Stop recording (events and drop count are kept for export). */
@@ -339,6 +344,7 @@ class TraceBuffer
         e.argKey = arg_key;
         e.argValue = arg_value;
         e.tsNs = ts_ns;
+        e.durNs = 0;
         e.tid = threadId();
         e.type = EventType::Instant;
         record(e);
@@ -360,7 +366,8 @@ class TraceBuffer
   private:
     void record(const TraceEvent &e);
 
-    std::vector<TraceEvent> events_;
+    std::unique_ptr<TraceEvent[]> events_;
+    size_t capacity_ = 0;
     std::atomic<size_t> next_{0};
     std::atomic<uint64_t> dropped_{0};
     std::atomic<bool> enabled_{false};
@@ -411,21 +418,5 @@ class Span
     bool tracing_;
     uint64_t t0_;
 };
-
-/**
- * Trace slots to arm for a run expected to record about
- * @p total_epochs epoch events. An epoch contributes one span slot;
- * the 25% headroom absorbs surrounding spans (jobs, warm-up, design
- * solves) and supervisor instants, and the fixed slack covers
- * setup/teardown events on tiny runs. Sizing the buffer from the
- * workload instead of a fixed worst-case preallocation keeps the
- * armed RSS proportional to the sweep actually being run
- * (tests/telemetry/rss_guard_test holds it to <= 2x a disarmed run).
- */
-constexpr size_t
-traceCapacityForEpochs(size_t total_epochs)
-{
-    return total_epochs + total_epochs / 4 + 4096;
-}
 
 } // namespace mimoarch::telemetry

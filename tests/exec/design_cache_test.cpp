@@ -158,9 +158,6 @@ TEST(ExperimentConfigFingerprint, EveryTunedFieldDiscriminates)
         differs([](ExperimentConfig &c) { c.sysidEpochsPerApp++; }));
     EXPECT_TRUE(
         differs([](ExperimentConfig &c) { c.inputWeightScale *= 2; }));
-    EXPECT_TRUE(
-        differs([](ExperimentConfig &c) { c.faults.enabled = true; }));
-    EXPECT_TRUE(differs([](ExperimentConfig &c) { c.faults.seed++; }));
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Resilient-engine tests with synthetic (non-simulation) jobs: failure
- * isolation and identity, deterministic retry, watchdog timeouts,
+ * isolation and identity, deterministic retry, per-attempt deadlines,
  * fail-fast cancellation, the --max-failures degradation path, the
  * failure report, journal resume, and the chaos injector.
  */
@@ -71,6 +71,37 @@ TEST(CancellationToken, StartsClearAndLatchesCancel)
     EXPECT_TRUE(token.canceled());
     token.requestCancel(); // Idempotent.
     EXPECT_TRUE(token.canceled());
+    EXPECT_FALSE(token.expired()); // A root has no deadline.
+}
+
+TEST(CancellationToken, ChildOfACanceledParentIsCanceledNotExpired)
+{
+    CancellationToken parent;
+    const CancellationToken child(&parent);
+    EXPECT_FALSE(child.canceled());
+    parent.requestCancel();
+    EXPECT_TRUE(child.canceled());
+    EXPECT_FALSE(child.expired());
+}
+
+TEST(CancellationToken, ChildPastItsDeadlineIsCanceledAndExpired)
+{
+    const CancellationToken parent;
+    const CancellationToken child(
+        &parent, CancellationToken::Clock::time_point::min());
+    EXPECT_TRUE(child.canceled());
+    EXPECT_TRUE(child.expired());
+    EXPECT_FALSE(parent.canceled()); // Cancellation never flows up.
+}
+
+TEST(CancellationToken, ChildOfALiveParentBeforeItsDeadlineIsNeither)
+{
+    const CancellationToken parent;
+    const CancellationToken child(&parent,
+                                  CancellationToken::Clock::now() +
+                                      std::chrono::hours(1));
+    EXPECT_FALSE(child.canceled());
+    EXPECT_FALSE(child.expired());
 }
 
 TEST(Resilient, FailureCauseNamesAreStable)
@@ -172,34 +203,41 @@ TEST(Resilient, ValidatorRejectionIsAnInvalidResultFailure)
 
 TEST(Resilient, WatchdogDeadlinesAStalledJob)
 {
-    const size_t n = 2;
-    ResilientPolicy policy;
-    policy.maxAttempts = 1;
-    policy.maxFailures = 1;
-    policy.jobTimeoutS = 0.05;
-    SweepRunner runner = makeRunner(2, policy);
-    const auto outcome = runner.mapJobs<uint64_t>(
-        makeKeys(n), 1, [](const JobContext &ctx) -> uint64_t {
-            if (ctx.index == 1) {
-                // A cooperative stall: spin until the watchdog cancels
-                // us (bounded so a broken watchdog can't hang the test).
-                const auto give_up = std::chrono::steady_clock::now() +
-                                     std::chrono::seconds(10);
-                while (!ctx.cancel.canceled() &&
-                       std::chrono::steady_clock::now() < give_up) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
+    // At 1 worker the stalled job runs inline on this thread, so only
+    // its own token's deadline can unwind it.
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const size_t n = 2;
+        ResilientPolicy policy;
+        policy.maxAttempts = 1;
+        policy.maxFailures = 1;
+        policy.jobTimeoutS = 0.05;
+        SweepRunner runner = makeRunner(workers, policy);
+        const auto outcome = runner.mapJobs<uint64_t>(
+            makeKeys(n), 1, [](const JobContext &ctx) -> uint64_t {
+                if (ctx.index == 1) {
+                    // A cooperative stall: spin until the deadline
+                    // cancels us (bounded so a broken deadline can't
+                    // hang the test).
+                    const auto give_up =
+                        std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+                    while (!ctx.cancel.canceled() &&
+                           std::chrono::steady_clock::now() < give_up) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                    }
+                    throw CanceledError("stalled job unwound");
                 }
-                throw CanceledError("stalled job unwound");
-            }
-            return ctx.index + 100;
-        });
-    EXPECT_EQ(outcome.report.timeouts, 1u);
-    ASSERT_EQ(outcome.report.failures.size(), 1u);
-    const JobFailure &f = outcome.report.failures.front();
-    EXPECT_EQ(f.index, 1u);
-    EXPECT_EQ(f.cause, FailureCause::Timeout);
-    EXPECT_EQ(outcome.results[0], 100u);
+                return ctx.index + 100;
+            });
+        EXPECT_EQ(outcome.report.timeouts, 1u);
+        ASSERT_EQ(outcome.report.failures.size(), 1u);
+        const JobFailure &f = outcome.report.failures.front();
+        EXPECT_EQ(f.index, 1u);
+        EXPECT_EQ(f.cause, FailureCause::Timeout);
+        EXPECT_EQ(outcome.results[0], 100u);
+    }
 }
 
 TEST(Resilient, FailFastCancelsEverythingOutstanding)

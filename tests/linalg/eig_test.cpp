@@ -113,14 +113,6 @@ TEST(Eig, SpectralRadius)
     EXPECT_NEAR(spectralRadius(a), 0.8, 1e-10);
 }
 
-TEST(Eig, SchurStability)
-{
-    EXPECT_TRUE(isSchurStable(Matrix::diag({0.9, -0.5})));
-    EXPECT_FALSE(isSchurStable(Matrix::diag({1.0, 0.5})));
-    EXPECT_FALSE(isSchurStable(Matrix::diag({0.95, 0.2}), 0.1));
-    EXPECT_TRUE(isSchurStable(Matrix::diag({0.85, 0.2}), 0.1));
-}
-
 TEST(Eig, ComplexMatrixEigenvalues)
 {
     CMatrix a(2, 2);

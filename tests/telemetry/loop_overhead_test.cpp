@@ -166,8 +166,7 @@ TEST(EpochInstrumentation, DisarmedRunCountsEpochsButSkipsHistograms)
 TEST(EpochInstrumentation, ArmedRunRecordsEveryEpoch)
 {
     ASSERT_FALSE(telemetry::trace().enabled());
-    telemetry::trace().start(
-        telemetry::traceCapacityForEpochs(kStubEpochs));
+    telemetry::trace().start(size_t{1} << 12);
     const LoopCounts before = loopCounts();
     (void)stubLoopSeconds(kStubEpochs);
     const LoopCounts after = loopCounts();
@@ -217,7 +216,7 @@ TEST(TelemetryOverhead, ArmedEpochLoopStaysWithinTheBudget)
 
     const double off_s = stubLoopSeconds(kEpochs);
 
-    telemetry::trace().start(telemetry::traceCapacityForEpochs(kEpochs));
+    telemetry::trace().start(size_t{1} << 18);
     const double on_s = stubLoopSeconds(kEpochs);
     telemetry::trace().stop();
     telemetry::trace().clear();
