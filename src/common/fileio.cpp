@@ -9,19 +9,33 @@ namespace mimoarch {
 bool
 writeFileAtomic(const std::string &path, const std::string &contents)
 {
+    return writeFileAtomic(
+        path, [&](const PieceSink &sink) { sink(contents); });
+}
+
+bool
+writeFileAtomic(const std::string &path,
+                const std::function<void(const PieceSink &)> &produce)
+{
     const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) {
         warn("cannot open ", tmp, " for writing");
         return false;
     }
-    const size_t written =
-        contents.empty()
-            ? 0
-            : std::fwrite(contents.data(), 1, contents.size(), f);
+    bool written = true;
+    try {
+        produce([&](std::string_view piece) {
+            if (written && !piece.empty())
+                written = std::fwrite(piece.data(), 1, piece.size(), f) ==
+                    piece.size();
+        });
+    } catch (...) {
+        written = false; // e.g. bad_alloc while rendering a piece
+    }
     const bool flushed = std::fflush(f) == 0;
     const bool closed = std::fclose(f) == 0;
-    if (written != contents.size() || !flushed || !closed) {
+    if (!written || !flushed || !closed) {
         warn("short or failed write to ", tmp);
         std::remove(tmp.c_str());
         return false;

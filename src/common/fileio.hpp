@@ -10,7 +10,9 @@
 
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 
 namespace mimoarch {
 
@@ -20,5 +22,16 @@ namespace mimoarch {
  * throws, since several callers run during shutdown paths.
  */
 bool writeFileAtomic(const std::string &path, const std::string &contents);
+
+/** Takes a file's contents one piece at a time, in order. */
+using PieceSink = std::function<void(std::string_view)>;
+
+/**
+ * writeFileAtomic for contents too large to hold at once: @p produce
+ * passes them to its sink in pieces, each written to the tmp sibling as
+ * it comes, and the rename happens only after the last.
+ */
+bool writeFileAtomic(const std::string &path,
+                     const std::function<void(const PieceSink &)> &produce);
 
 } // namespace mimoarch

@@ -1,9 +1,11 @@
 /**
  * @file
- * The one concurrency primitive: parallelFor runs a flat list of
- * independent tasks (the design flow's identification records, a
- * sweep's jobs) on short-lived threads that claim task indices from one
- * shared counter.
+ * The concurrency primitive for independent tasks: parallelFor runs a
+ * flat list of them (the design flow's identification records, a
+ * sweep's jobs, a chip's cores) on short-lived threads that claim task
+ * indices from one shared counter. The one other thread in the library
+ * is each SimPlant's op producer (RunAheadStream), which must run at
+ * the same time as its consumer, so no list of tasks can hold it.
  *
  * There is no queue and no persistent worker. Each call spawns its
  * threads and joins them before it returns, so a task may itself call

@@ -5,7 +5,8 @@
  * read the (IPS, power) outputs.
  *
  * SimPlant binds the cycle-level processor model to a synthetic
- * application. Users of the library can control their own systems by
+ * application, whose ops a RunAheadStream generates on a thread of
+ * its own. Users of the library can control their own systems by
  * implementing Plant.
  */
 
@@ -16,7 +17,7 @@
 #include "core/knobs.hpp"
 #include "linalg/matrix.hpp"
 #include "sim/processor.hpp"
-#include "workload/synthetic_stream.hpp"
+#include "workload/run_ahead_stream.hpp"
 
 namespace mimoarch {
 
@@ -134,7 +135,7 @@ class SimPlant : public Plant
 
   private:
     KnobSpace knobs_;
-    SyntheticStream stream_;
+    RunAheadStream stream_;
     Processor proc_;
     EpochOutputs last_;
     Matrix yOut_ = Matrix(kNumPlantOutputs, 1); //!< step() result buffer.

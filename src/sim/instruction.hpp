@@ -30,10 +30,16 @@ enum class OpClass : uint8_t {
 /** Number of OpClass values (for counter arrays). */
 constexpr size_t kNumOpClasses = 9;
 
-/** One dynamic micro-op as produced by an instruction source. */
+/**
+ * One dynamic micro-op as produced by an instruction source. 24 bytes:
+ * the small fields share the first word.
+ */
 struct MicroOp
 {
     OpClass cls = OpClass::IntAlu;
+
+    /** Branch outcome for Branch ops. */
+    bool taken = false;
 
     /**
      * Data dependencies, expressed as distances (in dynamic micro-ops)
@@ -48,10 +54,9 @@ struct MicroOp
 
     /** Program counter (drives I-cache and branch predictor indexing). */
     uint64_t pc = 0;
-
-    /** Branch outcome for Branch ops. */
-    bool taken = false;
 };
+
+static_assert(sizeof(MicroOp) == 24);
 
 /** Pull interface the core fetches from. */
 class InstructionSource

@@ -81,9 +81,23 @@ renderChromeTrace(const TraceBuffer &buffer)
 {
     std::string out;
     out.reserve(128 + buffer.size() * 96);
+    renderChromeTrace(buffer, [&](std::string_view piece) { out += piece; });
+    return out;
+}
+
+void
+renderChromeTrace(const TraceBuffer &buffer, const PieceSink &sink)
+{
+    constexpr size_t kPieceBytes = size_t{64} << 10;
+    std::string out;
+    out.reserve(kPieceBytes + 512);
     out += "{\"traceEvents\":[";
     const size_t n = buffer.size();
     for (size_t i = 0; i < n; ++i) {
+        if (out.size() >= kPieceBytes) {
+            sink(out);
+            out.clear();
+        }
         const TraceEvent &e = buffer[i];
         out += i == 0 ? "\n" : ",\n";
         out += "{\"name\":\"";
@@ -119,7 +133,7 @@ renderChromeTrace(const TraceBuffer &buffer)
     out += ",\"dropped\":";
     appendU64(out, buffer.dropped());
     out += "}}\n";
-    return out;
+    sink(out);
 }
 
 std::string
@@ -192,7 +206,9 @@ writeReports(const std::string &path)
     // Atomic tmp+rename: these run at SweepRunner destruction time, so
     // a crash or kill mid-write must not leave a torn half-report where
     // a previous good one stood.
-    if (!writeFileAtomic(path, renderChromeTrace(trace())))
+    if (!writeFileAtomic(path, [](const PieceSink &sink) {
+            renderChromeTrace(trace(), sink);
+        }))
         fatal("telemetry: cannot write trace to ", path);
     if (!writeFileAtomic(metrics_path, renderMetricsJson(registry())))
         fatal("telemetry: cannot write metrics to ", metrics_path);

@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/fileio.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mimoarch::telemetry {
@@ -33,13 +34,20 @@ void appendEscaped(std::string &out, std::string_view s);
 /** Chrome trace JSON for @p buffer's events (stable byte-for-byte). */
 std::string renderChromeTrace(const TraceBuffer &buffer);
 
+/**
+ * The same bytes, passed to @p sink in pieces of about 64 KiB, so a
+ * trace of any length is rendered in bounded memory.
+ */
+void renderChromeTrace(const TraceBuffer &buffer, const PieceSink &sink);
+
 /** Flat metrics JSON for @p reg (name-sorted, stable byte-for-byte). */
 std::string renderMetricsJson(const Registry &reg);
 
 /**
  * Write the global trace to @p path and the global registry's metrics
  * to "<path base>.metrics.json" (e.g. out.json -> out.metrics.json).
- * Stops the trace buffer first so late events cannot tear the export.
+ * Stops the trace buffer first so late events cannot tear the export;
+ * the trace goes to the file piece by piece, never whole in memory.
  */
 void writeReports(const std::string &path);
 

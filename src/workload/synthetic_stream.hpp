@@ -29,6 +29,14 @@ class SyntheticStream : public InstructionSource
     /** Advance the phase clock by one controller epoch. */
     void nextEpoch();
 
+    /** nextEpoch() calls until the one that enters the next phase. */
+    uint64_t
+    epochsLeftInPhase() const
+    {
+        const uint64_t length = spec_.phases[phaseIdx_].lengthEpochs;
+        return epochInPhase_ < length ? length - epochInPhase_ : 1;
+    }
+
     /** Index into spec().phases of the current phase. */
     size_t currentPhase() const { return phaseIdx_; }
 
@@ -68,6 +76,29 @@ class SyntheticStream : public InstructionSource
     };
 
     const PhaseDraws &phaseDraws() const { return draws_; }
+
+    /**
+     * Where the op sequence stands within a phase. next() reads the
+     * phase's draws and reads and advances only these three, so after
+     * seek(c) to a cursor taken earlier in the same phase, next()
+     * repeats the ops that followed it.
+     */
+    struct Cursor
+    {
+        Rng rng;
+        uint64_t codePtr = 0;
+        uint64_t streamPtr = 0;
+    };
+
+    Cursor cursor() const { return {rng_, codePtr_, streamPtr_}; }
+
+    void
+    seek(const Cursor &c)
+    {
+        rng_ = c.rng;
+        codePtr_ = c.codePtr;
+        streamPtr_ = c.streamPtr;
+    }
 
   private:
     void enterPhase(size_t idx);

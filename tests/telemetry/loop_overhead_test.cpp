@@ -6,6 +6,8 @@
  *     and error histograms and the per-epoch trace events only while
  *     the trace buffer is armed;
  *   - that it only observes: an armed and a disarmed run digest equal;
+ *   - the cycle-level plant's stream counters: one rewind per phase
+ *     boundary, and waits only when the ring ran empty;
  *   - a wall-clock guard that arming stays cheap. It times the loop on
  *     a constant stub plant and a hold-still controller, so the epoch
  *     is little more than the harness and its instrumentation. It only
@@ -23,6 +25,7 @@
 
 #include "core/controllers.hpp"
 #include "core/harness.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/spec_suite.hpp"
 
@@ -206,6 +209,36 @@ TEST(EpochInstrumentation, ArmingLeavesSimPlantDigestsUnchanged)
     telemetry::trace().clear();
     EXPECT_EQ(armed.first, disarmed.first) << "digest(RunSummary)";
     EXPECT_EQ(armed.second, disarmed.second) << "digest(EpochTrace)";
+}
+
+TEST(EpochInstrumentation, SimPlantCountsStreamWaitsAndRewinds)
+{
+    // Phases of 50 epochs: 200 epochs end four of them, and each phase
+    // boundary rewinds the plant's run-ahead stream once.
+    AppSpec app = Spec2006Suite::byName("namd");
+    for (PhaseSpec &p : app.phases)
+        p.lengthEpochs = 50;
+    telemetry::Registry &reg = telemetry::registry();
+    const uint64_t waits0 = reg.counter("stream.waits").value();
+    const uint64_t wait_ns0 = reg.counter("stream.wait_ns").value();
+    const uint64_t rewinds0 = reg.counter("stream.rewinds").value();
+    SimPlant plant(app, KnobSpace(false));
+    for (int i = 0; i < 200; ++i)
+        (void)plant.step(KnobSettings{});
+    const uint64_t waits = reg.counter("stream.waits").value() - waits0;
+    const uint64_t wait_ns =
+        reg.counter("stream.wait_ns").value() - wait_ns0;
+    EXPECT_EQ(reg.counter("stream.rewinds").value() - rewinds0, 4u);
+    // At most one wait per chunk the core took, each at least 1 ns long.
+    const uint64_t ops = plant.processor().core().counters().fetched;
+    EXPECT_LE(waits, ops / RunAheadStream::kChunkOps + 5);
+    EXPECT_GE(wait_ns, waits);
+    EXPECT_EQ(waits == 0, wait_ns == 0);
+    // The metrics sidecar of a --telemetry run carries all three.
+    const std::string metrics = telemetry::renderMetricsJson(reg);
+    for (const char *name :
+         {"\"stream.waits\"", "\"stream.wait_ns\"", "\"stream.rewinds\""})
+        EXPECT_NE(metrics.find(name), std::string::npos) << name;
 }
 
 TEST(TelemetryOverhead, ArmedEpochLoopStaysWithinTheBudget)

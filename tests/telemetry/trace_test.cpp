@@ -1,14 +1,20 @@
 /**
  * @file
  * TraceBuffer and Span behavior: event recording, overflow drops,
- * clear/stop semantics, and the Span RAII sinks (trace events and
- * latency histograms).
+ * clear/stop semantics, the Span RAII sinks (trace events and latency
+ * histograms), and the trace file writeReports writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace mimoarch::telemetry {
@@ -144,6 +150,47 @@ TEST(TelemetryTest, ThreadIdIsStablePerThread)
     const uint32_t a = threadId();
     const uint32_t b = threadId();
     EXPECT_EQ(a, b);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+TEST(TraceExport, WrittenFileEqualsRenderedTrace)
+{
+    // writeReports renders the trace into its file piece by piece; the
+    // file must hold exactly the one-string rendering, across many
+    // 64 KiB pieces and with names that need escaping.
+    TraceBuffer &tb = trace();
+    ASSERT_FALSE(tb.enabled());
+    tb.clear();
+    tb.start(size_t{1} << 14);
+    for (int64_t i = 0; i < 10000; ++i) {
+        const uint64_t ts = static_cast<uint64_t>(i) * 1237;
+        if (i % 3 == 0)
+            tb.instant("mark \"q\"", "cat\\x", ts);
+        else
+            tb.complete("span", "cat", ts, ts / 7 + 1,
+                        i % 2 ? "k" : nullptr, -i);
+    }
+    const std::string path = ::testing::TempDir() + "trace_export_" +
+        std::to_string(::getpid()) + ".json";
+    const std::string metrics_path =
+        path.substr(0, path.size() - 5) + ".metrics.json";
+    writeReports(path);
+    EXPECT_FALSE(tb.enabled());
+    const std::string rendered = renderChromeTrace(tb);
+    EXPECT_GT(rendered.size(), size_t{8} << 16);
+    EXPECT_EQ(readFile(path), rendered);
+    EXPECT_EQ(readFile(metrics_path), renderMetricsJson(registry()));
+    std::remove(path.c_str());
+    std::remove(metrics_path.c_str());
+    tb.clear();
 }
 
 } // namespace

@@ -1,11 +1,13 @@
 /**
  * @file
  * Synthetic stream tests: determinism, instruction-mix convergence,
- * working-set confinement, phase transitions, and branch-site behaviour.
+ * working-set confinement, phase transitions, branch-site behaviour,
+ * and seeking back to a cursor.
  */
 
 #include <array>
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +122,52 @@ TEST(SyntheticStream, PhaseAdvancesAfterConfiguredEpochs)
     for (int e = 0; e < 5; ++e)
         s.nextEpoch();
     EXPECT_EQ(s.currentPhase(), 0u); // wraps around
+}
+
+TEST(SyntheticStream, EpochsLeftInPhaseCountsToTheEntry)
+{
+    AppSpec app = simpleApp();
+    PhaseSpec second = app.phases[0];
+    second.lengthEpochs = 0; // left after one epoch, like a length of 1
+    app.phases.push_back(second);
+
+    SyntheticStream s(app);
+    for (uint64_t left = 10; left > 0; --left) {
+        EXPECT_EQ(s.epochsLeftInPhase(), left);
+        EXPECT_EQ(s.currentPhase(), 0u);
+        s.nextEpoch();
+    }
+    EXPECT_EQ(s.currentPhase(), 1u);
+    EXPECT_EQ(s.epochsLeftInPhase(), 1u);
+    s.nextEpoch();
+    EXPECT_EQ(s.currentPhase(), 0u);
+}
+
+TEST(SyntheticStream, SeekRepeatsTheOpsAfterACursor)
+{
+    // Half the memory ops stream through a 4 KiB region, so both walk
+    // pointers wrap between the cursor and the seek.
+    AppSpec app = simpleApp();
+    app.phases[0].streamFrac = 0.5;
+    app.phases[0].streamBytes = 4096;
+    app.phases[0].codeBytes = 256;
+    SyntheticStream s(app, 3);
+    for (int i = 0; i < 1000; ++i)
+        (void)s.next();
+    const SyntheticStream::Cursor at = s.cursor();
+    std::vector<MicroOp> first;
+    for (int i = 0; i < 5000; ++i)
+        first.push_back(s.next());
+    s.seek(at);
+    for (int i = 0; i < 5000; ++i) {
+        const MicroOp op = s.next();
+        ASSERT_EQ(op.cls, first[i].cls) << i;
+        ASSERT_EQ(op.srcDist0, first[i].srcDist0) << i;
+        ASSERT_EQ(op.srcDist1, first[i].srcDist1) << i;
+        ASSERT_EQ(op.addr, first[i].addr) << i;
+        ASSERT_EQ(op.pc, first[i].pc) << i;
+        ASSERT_EQ(op.taken, first[i].taken) << i;
+    }
 }
 
 TEST(SyntheticStream, PhaseChangesTheMix)
