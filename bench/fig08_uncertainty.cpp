@@ -30,8 +30,6 @@ minimalStableScale(const MimoDesignResult &design, const KnobSpace &knobs,
     // the honest one for sizing the aggressiveness of the design.
     RobustStabilityAnalyzer rsa(150, /*structured=*/false);
     const InputLimits limits{knobs.lowerLimits(), knobs.upperLimits()};
-    const std::vector<double> w_scaled =
-        MimoControllerDesign::scaledGuardbands(design.model, guardbands);
     double scale = 1.0 / 16384.0;
     for (int i = 0; i < 20; ++i, scale *= 2.0) {
         LqgWeights w = design.weights;
@@ -40,7 +38,7 @@ minimalStableScale(const MimoDesignResult &design, const KnobSpace &knobs,
         LqgServoController ctrl(design.model, w, limits);
         const auto res =
             rsa.analyze(design.model, ctrl.controllerRealization(),
-                        w_scaled);
+                        guardbands);
         if (res.ok())
             return scale;
     }

@@ -115,8 +115,6 @@ class ChipInstance
      */
     ChipRunSummary run(const KnobSettings &initial, unsigned threads = 1);
 
-    size_t numCores() const { return cores_.size(); }
-
     /** Core @p i's per-epoch trace. */
     const EpochTrace &coreTrace(size_t i) const;
 

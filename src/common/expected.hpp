@@ -5,9 +5,8 @@
  * fatal()/panic() remain the right tool for unrecoverable user errors
  * and library bugs. Conditions a caller can *handle* — a DARE that does
  * not converge for the current weights (the design loop retries with
- * adjusted weights, Fig. 3), a non-finite sensor reading (the loop
- * holds the last good value) — are reported through Result<T> instead,
- * so the control loop can degrade gracefully rather than abort.
+ * adjusted weights, Fig. 3) — are reported through Result<T> instead,
+ * so the design flow can degrade gracefully rather than abort.
  */
 
 #pragma once
@@ -25,8 +24,6 @@ enum class ErrorCode {
     InvalidArgument,   //!< Caller-supplied shapes/values are unusable.
     DareNotConverged,  //!< No stabilizing DARE solution (LQR side).
     KalmanNotConverged, //!< No stabilizing DARE solution (estimator side).
-    NonFiniteInput,    //!< NaN/Inf reached a numeric boundary.
-    NotStabilizable,   //!< The design cannot stabilize the plant.
 };
 
 /** A recoverable error: code for dispatch, message for humans. */

@@ -57,33 +57,43 @@ sysidSeed(const std::string &purpose, const std::string &app_name)
     return h.value();
 }
 
-MimoControllerDesign::MimoControllerDesign(
-    const KnobSpace &knobs, const ExperimentConfig &config,
-    const ProcessorConfig &proc_config)
-    : knobs_(knobs), config_(config), procConfig_(proc_config)
+MimoControllerDesign::MimoControllerDesign(const KnobSpace &knobs,
+                                           const ExperimentConfig &config)
+    : knobs_(knobs), config_(config)
 {}
 
-SysIdRecord
+SysIdRun
+MimoControllerDesign::collectRecord(SimPlant &plant, const Matrix &u) const
+{
+    plant.warmup(config_.warmupEpochs);
+
+    const size_t epochs = u.rows();
+    SysIdRun rec;
+    rec.u = u;
+    rec.y = Matrix(epochs, kNumPlantOutputs);
+    rec.l2Mpki.resize(epochs);
+    rec.ipc.resize(epochs);
+    rec.energyJ.resize(epochs);
+    for (size_t t = 0; t < epochs; ++t) {
+        const KnobSettings s = knobs_.quantize(u.row(t).transpose());
+        const Matrix &y = plant.step(s);
+        rec.y(t, kOutputIps) = y[kOutputIps];
+        rec.y(t, kOutputPower) = y[kOutputPower];
+        rec.l2Mpki[t] = plant.lastL2Mpki();
+        rec.ipc[t] = plant.lastIpc();
+        rec.energyJ[t] = plant.lastEnergyJoules();
+    }
+    return rec;
+}
+
+SysIdRun
 MimoControllerDesign::collectRecord(SimPlant &plant, size_t epochs,
                                     uint64_t waveform_seed) const
 {
     WaveformConfig wcfg;
     wcfg.lengthEpochs = epochs;
     wcfg.seed = waveform_seed;
-    const Matrix u = generateExcitation(knobs_.channels(), wcfg);
-
-    plant.warmup(config_.warmupEpochs);
-
-    SysIdRecord rec;
-    rec.u = u;
-    rec.y = Matrix(epochs, kNumPlantOutputs);
-    for (size_t t = 0; t < epochs; ++t) {
-        const KnobSettings s = knobs_.quantize(u.row(t).transpose());
-        const Matrix y = plant.step(s);
-        rec.y(t, kOutputIps) = y[kOutputIps];
-        rec.y(t, kOutputPower) = y[kOutputPower];
-    }
-    return rec;
+    return collectRecord(plant, generateExcitation(knobs_.channels(), wcfg));
 }
 
 std::vector<SysIdRecord>
@@ -135,26 +145,9 @@ MimoControllerDesign::concatenate(const std::vector<SysIdRecord> &recs)
     return all;
 }
 
-std::vector<double>
-MimoControllerDesign::scaledGuardbands(const StateSpaceModel &model,
-                                       const std::vector<double> &relative)
-{
-    if (relative.size() != model.numOutputs())
-        fatal("scaledGuardbands: need one guardband per output");
-    // Multiplicative (relative) uncertainty is invariant under the
-    // per-channel linear scaling: a y -> (1 + delta) y perturbation in
-    // physical units is the same relative perturbation on the scaled
-    // dynamic component. (The scaling offset is a constant bias, which
-    // the integral action rejects and which cannot destabilize the
-    // loop.) So the guardbands pass through unchanged.
-    (void)model;
-    return relative;
-}
-
 MimoDesignResult
 MimoControllerDesign::design(const std::vector<AppSpec> &training,
-                             const std::vector<AppSpec> &validation,
-                             size_t state_dimension) const
+                             const std::vector<AppSpec> &validation) const
 {
     if (training.empty())
         fatal("design: no training applications");
@@ -167,15 +160,14 @@ MimoControllerDesign::design(const std::vector<AppSpec> &training,
     std::vector<SysIdRecord> vrecs(validation.size());
     collectRecords(recs.size() + vrecs.size(), [&](size_t i) {
         if (i < recs.size()) {
-            SimPlant plant(training[i], knobs_, procConfig_);
+            SimPlant plant(training[i], knobs_);
             recs[i] = collectRecord(plant, config_.sysidEpochsPerApp,
                                     sysidSeed("sysid-train",
                                               training[i].name));
             return;
         }
         const size_t v = i - recs.size();
-        SimPlant plant(validation[v], knobs_, procConfig_,
-                       /*seed_salt=*/17);
+        SimPlant plant(validation[v], knobs_, {}, /*seed_salt=*/17);
         vrecs[v] = collectRecord(plant, config_.validationEpochsPerApp,
                                  sysidSeed("sysid-validate",
                                            validation[v].name));
@@ -183,10 +175,7 @@ MimoControllerDesign::design(const std::vector<AppSpec> &training,
     const SysIdRecord all = concatenate(alignOperatingPoints(recs));
 
     // 2. Fit + realize the model.
-    ExperimentConfig cfg = config_;
-    if (state_dimension != 0)
-        cfg.stateDimension = state_dimension;
-    StateSpaceModel model = identify(all.u, all.y, cfg.arxConfig());
+    StateSpaceModel model = identify(all.u, all.y, config_.arxConfig());
     // Estimator-side uncertainty guardband (see ExperimentConfig).
     model.rn = model.rn * config_.measurementNoiseInflation;
 
@@ -209,8 +198,6 @@ MimoControllerDesign::design(const std::vector<AppSpec> &training,
     // (Fig. 3) — rather than aborting the flow.
     const InputLimits limits{knobs_.lowerLimits(), knobs_.upperLimits()};
     RobustStabilityAnalyzer rsa;
-    const std::vector<double> w_scaled =
-        scaledGuardbands(model, result.guardbands);
     bool any_design = false;
     for (int attempt = 0; attempt < 10; ++attempt) {
         auto ctrl = LqgServoController::tryMake(model, result.weights,
@@ -224,9 +211,15 @@ MimoControllerDesign::design(const std::vector<AppSpec> &training,
             continue;
         }
         any_design = true;
+        // The relative guardbands are the small-gain weights as they
+        // stand: a y -> (1 + delta) y perturbation in physical units is
+        // the same relative perturbation of the model's scaled
+        // coordinates. (The scaling offset is a constant bias, which
+        // the integral action rejects and which cannot destabilize the
+        // loop.)
         result.rsa = rsa.analyze(model,
                                  ctrl.value().controllerRealization(),
-                                 w_scaled);
+                                 result.guardbands);
         if (result.rsa.ok())
             return result;
         for (double &wi : result.weights.inputWeights)
@@ -276,21 +269,19 @@ MimoControllerDesign::identifySisoModels(
     collectRecords(2 * n_apps, [&](size_t i) {
         const Channel &ch = channels[i / n_apps];
         const AppSpec &app = training[i % n_apps];
-        SimPlant plant(app, knobs_, procConfig_);
-        plant.warmup(config_.warmupEpochs);
         WaveformConfig wcfg;
         wcfg.lengthEpochs = config_.sysidEpochsPerApp;
         wcfg.seed = sysidSeed("sysid-siso-" + std::to_string(ch.excited),
                               app.name);
+        Matrix u(wcfg.lengthEpochs, 2, ch.fixedOther);
+        u.setBlock(0, ch.excited,
+                   generateExcitation({knobs_.channels()[ch.excited]},
+                                      wcfg));
+        SimPlant plant(app, knobs_);
+        const SysIdRun run = collectRecord(plant, u);
         SysIdRecord &rec = recs[i / n_apps][i % n_apps];
-        rec.u = generateExcitation({knobs_.channels()[ch.excited]}, wcfg);
-        rec.y = Matrix(rec.u.rows(), 1);
-        for (size_t t = 0; t < rec.u.rows(); ++t) {
-            Matrix u_full(2, 1);
-            u_full[ch.excited] = rec.u(t, 0);
-            u_full[1 - ch.excited] = ch.fixedOther;
-            rec.y(t, 0) = plant.step(knobs_.quantize(u_full))[ch.output];
-        }
+        rec.u = run.u.col(ch.excited);
+        rec.y = run.y.col(ch.output);
     });
 
     const auto fit = [&](size_t c) {

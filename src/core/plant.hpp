@@ -101,9 +101,6 @@ class SimPlant : public Plant
      *  (the analogue of the paper's 10 B-instruction fast-forward). */
     void warmup(size_t epochs);
 
-    /** Readout of the last epoch beyond (IPS, power). */
-    const EpochOutputs &lastEpoch() const { return last_; }
-
     const Matrix &lastTrueOutputs() const override { return yOut_; }
 
     void

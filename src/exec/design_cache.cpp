@@ -52,20 +52,19 @@ DesignCache::getOrCompute(uint64_t key, ComputeFn &&compute)
 }
 
 std::shared_ptr<const MimoDesignResult>
-DesignCache::design(const KnobSpace &knobs, const ExperimentConfig &cfg,
-                    const ProcessorConfig &proc, uint64_t proc_tag)
+DesignCache::design(const KnobSpace &knobs, const ExperimentConfig &cfg)
 {
     // designFingerprint(): design products are fidelity-agnostic, so
     // an analytic sweep reuses its cycle-level twin's entry.
     Fnv64 h;
     h.str("mimo-design").u64(knobs.numInputs())
-        .u64(cfg.designFingerprint()).u64(proc_tag);
+        .u64(cfg.designFingerprint());
     return getOrCompute<MimoDesignResult>(h.value(), [&] {
         std::fprintf(stderr,
                      "# designing %zu-input MIMO controller (system "
                      "identification on the training set)...\n",
                      knobs.numInputs());
-        MimoControllerDesign flow(knobs, cfg, proc);
+        MimoControllerDesign flow(knobs, cfg);
         return std::make_shared<MimoDesignResult>(
             flow.design(Spec2006Suite::trainingSet(),
                         Spec2006Suite::validationSet()));
@@ -73,17 +72,16 @@ DesignCache::design(const KnobSpace &knobs, const ExperimentConfig &cfg,
 }
 
 std::shared_ptr<const SisoModels>
-DesignCache::sisoModels(const ExperimentConfig &cfg,
-                        const ProcessorConfig &proc, uint64_t proc_tag)
+DesignCache::sisoModels(const ExperimentConfig &cfg)
 {
     Fnv64 h;
-    h.str("siso-models").u64(cfg.designFingerprint()).u64(proc_tag);
+    h.str("siso-models").u64(cfg.designFingerprint());
     return getOrCompute<SisoModels>(h.value(), [&] {
         std::fprintf(stderr,
                      "# identifying Decoupled SISO models (cache->IPS, "
                      "freq->power)...\n");
         KnobSpace knobs(false);
-        MimoControllerDesign flow(knobs, cfg, proc);
+        MimoControllerDesign flow(knobs, cfg);
         auto [c2i, f2p] =
             flow.identifySisoModels(Spec2006Suite::trainingSet());
         auto models = std::make_shared<SisoModels>();
@@ -95,18 +93,17 @@ DesignCache::sisoModels(const ExperimentConfig &cfg,
 
 std::shared_ptr<const SurrogateModel>
 DesignCache::surrogate(const AppSpec &app, const KnobSpace &knobs,
-                       const ExperimentConfig &cfg,
-                       const ProcessorConfig &proc, uint64_t proc_tag)
+                       const ExperimentConfig &cfg)
 {
     Fnv64 h;
     h.str("surrogate-cal").str(app.name).u64(knobs.numInputs())
-        .u64(cfg.designFingerprint()).u64(proc_tag);
+        .u64(cfg.designFingerprint());
     return getOrCompute<SurrogateModel>(h.value(), [&] {
         std::fprintf(stderr,
                      "# calibrating analytic surrogate for %s...\n",
                      app.name.c_str());
         return std::make_shared<SurrogateModel>(
-            calibrateSurrogate(app, knobs, cfg, proc));
+            calibrateSurrogate(app, knobs, cfg));
     });
 }
 

@@ -5,12 +5,13 @@
  * Every figure bench and the integration tests start by running the
  * full Fig. 3 system-identification + LQG design on the training set.
  * The flow is deterministic (fixed internal seeds, see design_flow.cpp)
- * so its result is a pure function of (knob space, ExperimentConfig,
- * ProcessorConfig) — exactly what this cache keys on. Concurrent
- * requests for the same key block behind one computation; distinct
- * keys compute in parallel. The computing thread collects the flow's
- * identification records through a parallelFor of its own, so a
- * request from inside a sweep job runs them on fresh threads.
+ * and always runs on the default processor, so its result is a pure
+ * function of (knob space, ExperimentConfig) — exactly what this cache
+ * keys on. Concurrent requests for the same key block behind one
+ * computation; distinct keys compute in parallel. The computing thread
+ * collects the flow's identification records through a parallelFor of
+ * its own, so a request from inside a sweep job runs them on fresh
+ * threads.
  * Replaces the ad-hoc function-local statics that used to live in
  * bench/bench_common.hpp.
  */
@@ -50,34 +51,32 @@ class DesignCache
 
     /**
      * Memoized MimoControllerDesign::design() on the paper's training/
-     * validation split. The key is (inputs, cfg.designFingerprint(),
-     * proc_tag); pass a unique @p proc_tag when @p proc is not
-     * default-constructed — the ProcessorConfig itself is not hashed.
+     * validation split, keyed on (inputs, cfg.designFingerprint()).
      */
     std::shared_ptr<const MimoDesignResult>
-    design(const KnobSpace &knobs, const ExperimentConfig &cfg,
-           const ProcessorConfig &proc = {}, uint64_t proc_tag = 0);
+    design(const KnobSpace &knobs, const ExperimentConfig &cfg);
 
     /**
      * Memoized identifySisoModels() (2-input space) for the Decoupled
-     * architecture, same keying rules.
+     * architecture, keyed on cfg.designFingerprint().
      */
     std::shared_ptr<const SisoModels>
-    sisoModels(const ExperimentConfig &cfg,
-               const ProcessorConfig &proc = {}, uint64_t proc_tag = 0);
+    sisoModels(const ExperimentConfig &cfg);
 
     /**
      * Memoized calibrateSurrogate() for one application (DESIGN.md
-     * §13). Keyed on (app, inputs, cfg.designFingerprint(), proc_tag):
+     * §13). Keyed on (app, inputs, cfg.designFingerprint()):
      * calibration always runs the cycle-level simulator, so an
      * analytic config shares the entry with its cycle-level twin.
      */
     std::shared_ptr<const SurrogateModel>
     surrogate(const AppSpec &app, const KnobSpace &knobs,
-              const ExperimentConfig &cfg,
-              const ProcessorConfig &proc = {}, uint64_t proc_tag = 0);
+              const ExperimentConfig &cfg);
 
-    /** Full designs computed so far (not cache hits) — for tests. */
+    /**
+     * Entries computed so far (not cache hits), of every kind: full
+     * designs, SISO model pairs and surrogates — for tests.
+     */
     unsigned long designComputations() const;
 
     /** Drop all entries (tests only; outstanding pointers stay valid). */

@@ -7,13 +7,12 @@ namespace mimoarch::exec {
 std::unique_ptr<Plant>
 makePlant(const AppSpec &app, const KnobSpace &knobs,
           const ExperimentConfig &cfg, const ProcessorConfig &proc,
-          uint64_t seed_salt, uint64_t proc_tag)
+          uint64_t seed_salt)
 {
     if (cfg.fidelity == PlantFidelity::Analytic) {
         return std::make_unique<SurrogatePlant>(
-            DesignCache::instance().surrogate(app, knobs, cfg, proc,
-                                              proc_tag),
-            knobs, seed_salt);
+            DesignCache::instance().surrogate(app, knobs, cfg), knobs,
+            seed_salt);
     }
     return std::make_unique<SimPlant>(app, knobs, proc, seed_salt);
 }

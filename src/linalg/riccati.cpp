@@ -89,27 +89,6 @@ solveDare(const Matrix &a, const Matrix &b, const Matrix &q,
     return res;
 }
 
-std::optional<Matrix>
-solveDiscreteLyapunov(const Matrix &a, const Matrix &q)
-{
-    if (!a.isSquare() || !q.isSquare() || a.rows() != q.rows())
-        panic("solveDiscreteLyapunov: inconsistent shapes");
-    if (spectralRadius(a) >= 1.0)
-        return std::nullopt;
-
-    // Doubling: X_{k+1} = X_k + A_k X_k A_k',  A_{k+1} = A_k^2.
-    Matrix x = symmetrize(q);
-    Matrix ak = a;
-    for (int it = 0; it < 200; ++it) {
-        const Matrix delta = ak * x * ak.transpose();
-        x = symmetrize(x + delta);
-        ak = ak * ak;
-        if (delta.maxAbs() < 1e-14 * std::max(1.0, x.maxAbs()))
-            break;
-    }
-    return x;
-}
-
 Matrix
 lqrGainFromDare(const Matrix &a, const Matrix &b, const Matrix &r,
                 const Matrix &p)

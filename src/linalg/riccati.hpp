@@ -1,6 +1,6 @@
 /**
  * @file
- * Discrete-time algebraic Riccati and Lyapunov equation solvers.
+ * Discrete-time algebraic Riccati equation solver.
  *
  * The DARE
  *   P = A' P A - A' P B (R + B' P B)^-1 B' P A + Q
@@ -39,13 +39,6 @@ struct DareResult
  */
 std::optional<DareResult> solveDare(const Matrix &a, const Matrix &b,
                                     const Matrix &q, const Matrix &r);
-
-/**
- * Solve the discrete Lyapunov equation X = A X A' + Q by doubling.
- * Requires rho(A) < 1; returns nullopt otherwise.
- */
-std::optional<Matrix> solveDiscreteLyapunov(const Matrix &a,
-                                            const Matrix &q);
 
 /** LQR state-feedback gain K (u = -K x) from the DARE solution. */
 Matrix lqrGainFromDare(const Matrix &a, const Matrix &b, const Matrix &r,

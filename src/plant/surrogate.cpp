@@ -9,7 +9,6 @@
 #include "core/design_flow.hpp"
 #include "linalg/leastsq.hpp"
 #include "sysid/arx.hpp"
-#include "sysid/waveform.hpp"
 
 namespace mimoarch {
 
@@ -68,36 +67,20 @@ SurrogateModel::digest() const
 
 SurrogateModel
 calibrateSurrogate(const AppSpec &app, const KnobSpace &knobs,
-                   const ExperimentConfig &cfg,
-                   const ProcessorConfig &proc)
+                   const ExperimentConfig &cfg)
 {
-    // The same experiment shape as the design flow's collectRecord():
-    // warm up, drive a seeded excitation waveform through the quantized
-    // knobs, record what the cycle-level substrate did — plus the
-    // auxiliary sensors the (IPS, power) model does not cover.
-    SimPlant plant(app, knobs, proc);
-    WaveformConfig wcfg;
-    wcfg.lengthEpochs = cfg.sysidEpochsPerApp;
-    wcfg.seed = sysidSeed("surrogate-cal", app.name);
-    const Matrix u = generateExcitation(knobs.channels(), wcfg);
-    plant.warmup(cfg.warmupEpochs);
-
-    const size_t epochs = u.rows();
-    const size_t inputs = knobs.numInputs();
+    const size_t epochs = cfg.sysidEpochsPerApp;
     if (epochs < 32)
         fatal("calibrateSurrogate: need >= 32 calibration epochs, have ",
               epochs);
-    Matrix y(epochs, kNumPlantOutputs);
-    std::vector<double> l2(epochs), ipc(epochs), energy(epochs);
-    for (size_t t = 0; t < epochs; ++t) {
-        const KnobSettings s = knobs.quantize(u.row(t).transpose());
-        const Matrix &yt = plant.step(s);
-        y(t, kOutputIps) = yt[kOutputIps];
-        y(t, kOutputPower) = yt[kOutputPower];
-        l2[t] = plant.lastL2Mpki();
-        ipc[t] = plant.lastIpc();
-        energy[t] = plant.lastEnergyJoules();
-    }
+    // The design flow's identification experiment on the cycle-level
+    // substrate, under the calibration's own excitation waveform.
+    SimPlant plant(app, knobs);
+    const SysIdRun run = MimoControllerDesign(knobs, cfg).collectRecord(
+        plant, epochs, sysidSeed("surrogate-cal", app.name));
+    const Matrix &u = run.u;
+    const Matrix &y = run.y;
+    const size_t inputs = knobs.numInputs();
 
     SurrogateModel m;
     m.appName = app.name;
@@ -136,7 +119,7 @@ calibrateSurrogate(const AppSpec &app, const KnobSpace &knobs,
         phi(t, 0) = 1.0;
         for (size_t i = 0; i < inputs; ++i)
             phi(t, 1 + i) = u(t, i);
-        rhs(t, 0) = l2[t];
+        rhs(t, 0) = run.l2Mpki[t];
     }
     m.l2Coef = solveRidge(phi, rhs, 1e-8);
 
@@ -147,10 +130,10 @@ calibrateSurrogate(const AppSpec &app, const KnobSpace &knobs,
     double ips_mean = 0.0, power_mean = 0.0;
     for (size_t t = 0; t < epochs; ++t) {
         const double x = y(t, kOutputIps) / u(t, 0);
-        ipc_num += ipc[t] * x;
+        ipc_num += run.ipc[t] * x;
         ipc_den += x * x;
         const double p = y(t, kOutputPower);
-        e_num += energy[t] * p;
+        e_num += run.energyJ[t] * p;
         e_den += p * p;
         ips_mean += y(t, kOutputIps);
         power_mean += y(t, kOutputPower);
@@ -181,13 +164,6 @@ SurrogateDynamics::SurrogateDynamics(const SurrogateModel &model,
     yScaled_ = Matrix(o, 1);
     tmpO_ = Matrix(o, 1);
     yPhys_ = Matrix(o, 1);
-}
-
-void
-SurrogateDynamics::reset(uint64_t seed)
-{
-    rng_.reseed(seed);
-    x_.setZero();
 }
 
 const Matrix &

@@ -88,18 +88,19 @@ struct SurrogateModel
 };
 
 /**
- * Run the calibration experiment for @p app on the cycle-level
- * simulator and fit its surrogate. Deterministic: the excitation seed
- * is sysidSeed("surrogate-cal", app.name), epochs/warmup come from
- * @p cfg (sysidEpochsPerApp / warmupEpochs), and the fit has no other
+ * Run the design flow's identification experiment
+ * (MimoControllerDesign::collectRecord) for @p app on the cycle-level
+ * simulator with the default processor, and fit its surrogate from
+ * the record. Deterministic: the excitation seed is
+ * sysidSeed("surrogate-cal", app.name), epochs/warmup come from @p cfg
+ * (sysidEpochsPerApp / warmupEpochs), and the fit has no other
  * randomness — so the result is a pure function of
- * (app, knobs, cfg.designFingerprint(), proc), which is exactly what
+ * (app, knobs, cfg.designFingerprint()), which is exactly what
  * exec::DesignCache::surrogate() memoizes it on.
  */
 SurrogateModel calibrateSurrogate(const AppSpec &app,
                                   const KnobSpace &knobs,
-                                  const ExperimentConfig &cfg,
-                                  const ProcessorConfig &proc = {});
+                                  const ExperimentConfig &cfg);
 
 /**
  * Allocation-free stepper for one instance of a surrogate's dynamics:
@@ -111,9 +112,6 @@ class SurrogateDynamics
 {
   public:
     SurrogateDynamics(const SurrogateModel &model, uint64_t seed);
-
-    /** Restart from the zero state with a fresh noise stream. */
-    void reset(uint64_t seed);
 
     /**
      * Advance one epoch under physical input @p u_physical (I x 1) and

@@ -97,7 +97,6 @@ class Core
 
     const CoreCounters &counters() const { return counters_; }
     const CoreConfig &config() const { return config_; }
-    const BranchPredictor &branchPredictor() const { return bpred_; }
 
     /** Zero the activity counters (e.g. after a warmup run). */
     void resetCounters() { counters_ = CoreCounters{}; }

@@ -76,7 +76,6 @@ class Processor
     uint32_t l2PartitionMask() const { return mem_.l2PartitionMask(); }
 
     unsigned frequencyLevel() const { return dvfs_.level(); }
-    double frequencyGhz() const { return dvfs_.freqGhz(); }
     unsigned cacheSizeSetting() const { return mem_.cacheSizeSetting(); }
     double effectiveCacheKb() const { return mem_.effectiveCacheKb(); }
     unsigned robSize() const { return core_.robSize(); }

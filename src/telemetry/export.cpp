@@ -55,14 +55,6 @@ appendI64(std::string &out, int64_t v)
     out += buf;
 }
 
-void
-appendF64(std::string &out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-}
-
 /** Swap a trailing ".json" for @p suffix (else just append it). */
 std::string
 sidecarPath(const std::string &path, const std::string &suffix)
@@ -140,7 +132,7 @@ std::string
 renderMetricsJson(const Registry &reg)
 {
     std::string out;
-    out += "{\n\"schema\": 1,\n\"counters\": {";
+    out += "{\n\"schema\": 2,\n\"counters\": {";
     const auto counters = reg.counters();
     for (size_t i = 0; i < counters.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
@@ -148,15 +140,6 @@ renderMetricsJson(const Registry &reg)
         appendEscaped(out, counters[i].first);
         out += "\": ";
         appendU64(out, counters[i].second);
-    }
-    out += "\n},\n\"gauges\": {";
-    const auto gauges = reg.gauges();
-    for (size_t i = 0; i < gauges.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += "\"";
-        appendEscaped(out, gauges[i].first);
-        out += "\": ";
-        appendF64(out, gauges[i].second);
     }
     out += "\n},\n\"histograms\": {";
     const auto histograms = reg.histograms();

@@ -8,7 +8,7 @@
  *     recorded TraceEvent, timestamps in microseconds at nanosecond
  *     resolution.
  *   - renderMetricsJson: a flat, name-sorted metrics document
- *     (counters, gauges, histogram summaries) that benches write as a
+ *     (counters, histogram summaries) that benches write as a
  *     sidecar and diff across runs.
  *
  * Exporting allocates freely — it runs after the instrumented work has

@@ -32,17 +32,6 @@ threadId()
 
 // ----------------------------------------------------------- metrics
 
-void
-HistogramSnapshot::merge(const HistogramSnapshot &other)
-{
-    count += other.count;
-    sum += other.sum;
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-    for (size_t i = 0; i < kBuckets; ++i)
-        buckets[i] += other.buckets[i];
-}
-
 uint64_t
 HistogramSnapshot::quantile(double q) const
 {
@@ -114,13 +103,6 @@ Registry::counter(const std::string &name)
     return find(counters_, name);
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return find(gauges_, name);
-}
-
 Histogram &
 Registry::histogram(const std::string &name)
 {
@@ -135,18 +117,6 @@ Registry::counters() const
     std::vector<std::pair<std::string, uint64_t>> out;
     out.reserve(counters_.size());
     for (const auto &e : counters_)
-        out.emplace_back(e.name, e.metric->value());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<std::pair<std::string, double>>
-Registry::gauges() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(gauges_.size());
-    for (const auto &e : gauges_)
         out.emplace_back(e.name, e.metric->value());
     std::sort(out.begin(), out.end());
     return out;
@@ -170,8 +140,6 @@ Registry::reset()
 {
     std::lock_guard<std::mutex> lk(mutex_);
     for (auto &e : counters_)
-        e.metric->reset();
-    for (auto &e : gauges_)
         e.metric->reset();
     for (auto &e : histograms_)
         e.metric->reset();

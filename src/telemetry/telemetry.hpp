@@ -91,40 +91,13 @@ class Counter
     Slot slots_[kMetricShards];
 };
 
-/** Last-write-wins double value (worker count, RSS, utilization). */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        bits_.store(std::bit_cast<uint64_t>(v), std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return std::bit_cast<double>(
-            bits_.load(std::memory_order_relaxed));
-    }
-
-    void reset() { set(0.0); }
-
-  private:
-    std::atomic<uint64_t> bits_{std::bit_cast<uint64_t>(0.0)};
-};
-
-/**
- * Mergeable copy of a histogram's state. Merging snapshots is exact
- * (bucket-wise sums), so per-worker histograms can be combined after a
- * sweep with no loss relative to one shared histogram.
- */
+/** Copy of a histogram's state, for quantiles and export. */
 struct HistogramSnapshot
 {
     /**
      * Bucket i counts values whose bit width is i: bucket 0 holds
      * exactly 0, bucket i (i >= 1) holds [2^(i-1), 2^i). Log-scale
-     * with fixed boundaries, so merge needs no bucket alignment.
+     * with fixed boundaries.
      */
     static constexpr size_t kBuckets = 65;
 
@@ -148,9 +121,6 @@ struct HistogramSnapshot
         return i == 0 ? 0
                       : (i >= 64 ? UINT64_MAX : (uint64_t{1} << i) - 1);
     }
-
-    /** Exact bucket-wise sum; associative and commutative. */
-    void merge(const HistogramSnapshot &other);
 
     /**
      * Upper-bound estimate of the @p q quantile (q in [0, 1]): the
@@ -225,7 +195,7 @@ class Histogram
 // ---------------------------------------------------------- registry
 
 /**
- * Named metric store. Registration (counter/gauge/histogram) is
+ * Named metric store. Registration (counter/histogram) is
  * mutex-guarded, idempotent by name, and may allocate — do it once at
  * component construction and keep the returned reference, which stays
  * valid for the registry's lifetime. Reads for export are snapshots
@@ -235,12 +205,10 @@ class Registry
 {
   public:
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
     /** Name-sorted snapshots for the exporters. */
     std::vector<std::pair<std::string, uint64_t>> counters() const;
-    std::vector<std::pair<std::string, double>> gauges() const;
     std::vector<std::pair<std::string, HistogramSnapshot>>
     histograms() const;
 
@@ -261,7 +229,6 @@ class Registry
 
     mutable std::mutex mutex_;
     std::vector<Entry<Counter>> counters_;
-    std::vector<Entry<Gauge>> gauges_;
     std::vector<Entry<Histogram>> histograms_;
 };
 

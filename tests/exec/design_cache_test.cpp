@@ -112,16 +112,6 @@ TEST(DesignCache, DistinctConfigsComputeSeparately)
     EXPECT_EQ(cache.designComputations(), 2ul);
 }
 
-TEST(DesignCache, DistinctProcTagsComputeSeparately)
-{
-    DesignCache cache;
-    const ExperimentConfig cfg = tinyConfig();
-    const auto a = cache.sisoModels(cfg);
-    const auto b = cache.sisoModels(cfg, {}, /*proc_tag=*/1);
-    EXPECT_EQ(cache.designComputations(), 2ul);
-    EXPECT_NE(a.get(), b.get());
-}
-
 TEST(DesignCache, ClearLeavesOutstandingResultsValid)
 {
     DesignCache cache;

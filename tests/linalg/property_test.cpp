@@ -131,27 +131,5 @@ INSTANTIATE_TEST_SUITE_P(
                       DareCase{4, 4, 15}, DareCase{6, 2, 16},
                       DareCase{6, 3, 17}, DareCase{8, 3, 18}));
 
-// ----------------------------------------------------------- Lyapunov
-
-class LyapunovHolds : public ::testing::TestWithParam<uint64_t>
-{};
-
-TEST_P(LyapunovHolds, SolutionSatisfiesEquation)
-{
-    Rng rng(GetParam());
-    const size_t n = 2 + rng.uniformInt(5);
-    Matrix a = randomMatrix(n, n, rng, 0.3); // rho(A) < 1 w.h.p.
-    if (spectralRadius(a) >= 1.0)
-        GTEST_SKIP() << "random draw unstable";
-    Matrix q0 = randomMatrix(n, n, rng);
-    Matrix q = q0 * q0.transpose(); // PSD
-    const auto x = solveDiscreteLyapunov(a, q);
-    ASSERT_TRUE(x.has_value());
-    EXPECT_TRUE(approxEqual(*x, a * (*x) * a.transpose() + q, 1e-8));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LyapunovHolds,
-                         ::testing::Range<uint64_t>(100, 112));
-
 } // namespace
 } // namespace mimoarch

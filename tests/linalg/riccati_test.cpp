@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the DARE and discrete Lyapunov solvers, including the LQR
- * gain helper and property checks on random stabilizable systems.
+ * Tests for the DARE solver, including the LQR gain helper and
+ * property checks on random stabilizable systems.
  */
 
 #include <cmath>
@@ -113,37 +113,6 @@ TEST(Dare, RejectsInconsistentShapes)
     EXPECT_DEATH(solveDare(Matrix(2, 2), Matrix(3, 1), Matrix(2, 2),
                            Matrix(1, 1)),
                  "inconsistent");
-}
-
-TEST(Lyapunov, ScalarClosedForm)
-{
-    // x = a x a + q  =>  x = q / (1 - a^2).
-    auto x = solveDiscreteLyapunov(Matrix{{0.5}}, Matrix{{3.0}});
-    ASSERT_TRUE(x.has_value());
-    EXPECT_NEAR((*x)(0, 0), 3.0 / (1.0 - 0.25), 1e-10);
-}
-
-TEST(Lyapunov, SatisfiesEquation)
-{
-    Matrix a{{0.8, 0.2}, {-0.1, 0.6}};
-    Matrix q{{1.0, 0.1}, {0.1, 2.0}};
-    auto x = solveDiscreteLyapunov(a, q);
-    ASSERT_TRUE(x.has_value());
-    EXPECT_TRUE(approxEqual(*x, a * (*x) * a.transpose() + q, 1e-9));
-}
-
-TEST(Lyapunov, UnstableSystemRejected)
-{
-    EXPECT_FALSE(solveDiscreteLyapunov(Matrix{{1.01}}, Matrix{{1.0}})
-                     .has_value());
-}
-
-TEST(Lyapunov, SolutionSymmetric)
-{
-    Matrix a{{0.3, 0.5}, {0.0, -0.7}};
-    auto x = solveDiscreteLyapunov(a, Matrix::identity(2));
-    ASSERT_TRUE(x.has_value());
-    EXPECT_TRUE(approxEqual(*x, x->transpose(), 1e-12));
 }
 
 } // namespace

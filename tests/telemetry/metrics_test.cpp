@@ -1,9 +1,8 @@
 /**
  * @file
- * Telemetry metric primitives: counter/gauge semantics, registry
- * idempotence and ordering, and property tests for the fixed-bucket
- * log-scale histogram — exact bucket boundaries, merge associativity
- * and commutativity, and quantile monotonicity.
+ * Telemetry metric primitives: counter semantics, registry idempotence
+ * and ordering, and property tests for the fixed-bucket log-scale
+ * histogram — exact bucket boundaries and quantile monotonicity.
  */
 
 #include <gtest/gtest.h>
@@ -29,18 +28,6 @@ TEST(CounterTest, AddAccumulatesAndResets)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(GaugeTest, LastWriteWins)
-{
-    Gauge g;
-    EXPECT_EQ(g.value(), 0.0);
-    g.set(3.25);
-    EXPECT_EQ(g.value(), 3.25);
-    g.set(-0.5);
-    EXPECT_EQ(g.value(), -0.5);
-    g.reset();
-    EXPECT_EQ(g.value(), 0.0);
-}
-
 TEST(RegistryTest, RegistrationIsIdempotentWithStableAddresses)
 {
     Registry reg;
@@ -50,21 +37,17 @@ TEST(RegistryTest, RegistrationIsIdempotentWithStableAddresses)
     a.add(7);
     EXPECT_EQ(reg.counter("x").value(), 7u);
 
-    Gauge &g1 = reg.gauge("g");
-    Gauge &g2 = reg.gauge("g");
-    EXPECT_EQ(&g1, &g2);
-
     Histogram &h1 = reg.histogram("h");
     Histogram &h2 = reg.histogram("h");
     EXPECT_EQ(&h1, &h2);
 
-    // Same name, different kinds: three independent metrics.
+    // Same name, different kinds: independent metrics.
     Counter &named_c = reg.counter("same");
-    Gauge &named_g = reg.gauge("same");
+    Histogram &named_h = reg.histogram("same");
     named_c.add(1);
-    named_g.set(2.0);
+    named_h.record(2);
     EXPECT_EQ(reg.counter("same").value(), 1u);
-    EXPECT_EQ(reg.gauge("same").value(), 2.0);
+    EXPECT_EQ(reg.histogram("same").snapshot().count, 1u);
 }
 
 TEST(RegistryTest, ExportsAreNameSorted)
@@ -78,31 +61,20 @@ TEST(RegistryTest, ExportsAreNameSorted)
     EXPECT_EQ(counters[0].first, "alpha");
     EXPECT_EQ(counters[1].first, "mid");
     EXPECT_EQ(counters[2].first, "zeta");
-
-    reg.gauge("b").set(1.0);
-    reg.gauge("a").set(2.0);
-    const auto gauges = reg.gauges();
-    ASSERT_EQ(gauges.size(), 2u);
-    EXPECT_EQ(gauges[0].first, "a");
-    EXPECT_EQ(gauges[1].first, "b");
 }
 
 TEST(RegistryTest, ResetZeroesValuesKeepsRegistrations)
 {
     Registry reg;
     Counter &c = reg.counter("c");
-    Gauge &g = reg.gauge("g");
     Histogram &h = reg.histogram("h");
     c.add(5);
-    g.set(1.5);
     h.record(100);
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0.0);
     EXPECT_EQ(h.snapshot().count, 0u);
     // Same addresses after reset: registrations survived.
     EXPECT_EQ(&reg.counter("c"), &c);
-    EXPECT_EQ(&reg.gauge("g"), &g);
     EXPECT_EQ(&reg.histogram("h"), &h);
 }
 
@@ -177,63 +149,6 @@ randomSnapshot(uint64_t seed, int n)
     for (int i = 0; i < n; ++i)
         h.record(rng() >> (rng() % 64));
     return h.snapshot();
-}
-
-void
-expectSnapshotsEqual(const HistogramSnapshot &a,
-                     const HistogramSnapshot &b)
-{
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.sum, b.sum);
-    EXPECT_EQ(a.min, b.min);
-    EXPECT_EQ(a.max, b.max);
-    for (size_t i = 0; i < HistogramSnapshot::kBuckets; ++i)
-        ASSERT_EQ(a.buckets[i], b.buckets[i]) << "bucket " << i;
-}
-
-TEST(HistogramTest, MergeIsAssociativeAndCommutative)
-{
-    const HistogramSnapshot a = randomSnapshot(1, 500);
-    const HistogramSnapshot b = randomSnapshot(2, 300);
-    const HistogramSnapshot c = randomSnapshot(3, 700);
-
-    // (a + b) + c
-    HistogramSnapshot ab = a;
-    ab.merge(b);
-    HistogramSnapshot ab_c = ab;
-    ab_c.merge(c);
-    // a + (b + c)
-    HistogramSnapshot bc = b;
-    bc.merge(c);
-    HistogramSnapshot a_bc = a;
-    a_bc.merge(bc);
-    expectSnapshotsEqual(ab_c, a_bc);
-
-    // a + b == b + a
-    HistogramSnapshot ba = b;
-    ba.merge(a);
-    expectSnapshotsEqual(ab, ba);
-
-    // Merging an empty snapshot is the identity (min stays intact).
-    HistogramSnapshot a_id = a;
-    a_id.merge(HistogramSnapshot{});
-    expectSnapshotsEqual(a_id, a);
-}
-
-TEST(HistogramTest, MergeEqualsSingleHistogramOfUnion)
-{
-    // Per-worker histograms merged after the fact must equal one
-    // shared histogram fed the union of the samples.
-    std::mt19937_64 rng(9);
-    Histogram shared, wa, wb;
-    for (int i = 0; i < 2000; ++i) {
-        const uint64_t v = rng() >> (rng() % 64);
-        shared.record(v);
-        ((i & 1) != 0 ? wa : wb).record(v);
-    }
-    HistogramSnapshot merged = wa.snapshot();
-    merged.merge(wb.snapshot());
-    expectSnapshotsEqual(merged, shared.snapshot());
 }
 
 TEST(HistogramTest, QuantileIsMonotoneAndBounded)
