@@ -97,8 +97,8 @@ BM_OptimizerObserve(benchmark::State &state)
 }
 BENCHMARK(BM_OptimizerObserve);
 
-// --- In-place kernel micro-benches: the allocation-free hot-path ---
-// kernels against the allocating operator forms they replaced.
+// --- Kernel micro-benches: the allocating dim-4 product and the ----
+// in-place gemv against its operator form.
 
 void
 BM_MatMulOperator(benchmark::State &state)
@@ -109,18 +109,6 @@ BM_MatMulOperator(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MatMulOperator);
-
-void
-BM_MatMulInto(benchmark::State &state)
-{
-    const StateSpaceModel m = dim4Model();
-    Matrix out(4, 4);
-    for (auto _ : state) {
-        Matrix::mulInto(out, m.a, m.a);
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_MatMulInto);
 
 void
 BM_GemvOperator(benchmark::State &state)
@@ -145,18 +133,6 @@ BM_Gemv(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Gemv);
-
-void
-BM_Axpy(benchmark::State &state)
-{
-    Matrix y = Matrix::vector({1.0, 2.0, 3.0, 4.0});
-    const Matrix x = Matrix::vector({0.1, 0.2, 0.3, 0.4});
-    for (auto _ : state) {
-        Matrix::axpy(y, 0.5, x);
-        benchmark::DoNotOptimize(y.data());
-    }
-}
-BENCHMARK(BM_Axpy);
 
 void
 BM_KalmanUpdate(benchmark::State &state)

@@ -79,8 +79,6 @@ class BudgetArbiter
     std::vector<CoreAllocation>
     allocate(const std::vector<CoreDemand> &demands) const;
 
-    const ArbiterConfig &config() const { return config_; }
-
   private:
     ArbiterConfig config_;
 };

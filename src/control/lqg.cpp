@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/leastsq.hpp"
 #include "linalg/riccati.hpp"
@@ -155,33 +156,11 @@ LqgServoController::init()
         y0Physical_[i] = model_.outputScaling.offset[i];
     setReference(y0Physical_);
     reset(Matrix::vector(std::vector<double>(m, 0.0)));
-    allocWorkspace();
+    uPhys_ = Matrix(m, 1);
+    uExcess_.assign(m, 0.0);
+    inno_.assign(p, 0.0);
+    xNext_.assign(n, 0.0);
     return Status();
-}
-
-void
-LqgServoController::allocWorkspace()
-{
-    const size_t n = model_.stateDim();
-    const size_t m = model_.numInputs();
-    const size_t p = model_.numOutputs();
-    ws_.yScaled.resizeShape(p, 1);
-    ws_.dx.resizeShape(n, 1);
-    ws_.duPrev.resizeShape(m, 1);
-    ws_.t1.resizeShape(m, 1);
-    ws_.t2.resizeShape(m, 1);
-    ws_.t3.resizeShape(m, 1);
-    ws_.u.resizeShape(m, 1);
-    ws_.uUnsat.resizeShape(m, 1);
-    ws_.uPhys.resizeShape(m, 1);
-    ws_.awDiff.resizeShape(m, 1);
-    ws_.awCorr.resizeShape(p, 1);
-    ws_.cx.resizeShape(p, 1);
-    ws_.duFeed.resizeShape(p, 1);
-    ws_.inno.resizeShape(p, 1);
-    ws_.ax.resizeShape(n, 1);
-    ws_.bu.resizeShape(n, 1);
-    ws_.li.resizeShape(n, 1);
 }
 
 void
@@ -219,126 +198,197 @@ LqgServoController::setReference(const Matrix &y0_physical)
 void
 LqgServoController::reset(const Matrix &u_initial_physical)
 {
-    const size_t n = model_.stateDim();
+    // This check and init()'s validation of the model, weights and
+    // limits are what let step() index its buffers unchecked.
     const size_t m = model_.numInputs();
-    const size_t p = model_.numOutputs();
-    if (u_initial_physical.rows() != m)
+    if (u_initial_physical.rows() != m || u_initial_physical.cols() != 1)
         fatal("reset: expected ", m, " initial inputs");
-    xHat_ = Matrix(n, 1);
-    uPrev_ = model_.inputScaling.toScaled(u_initial_physical);
-    zInt_ = Matrix(p, 1);
+    xHat_.assign(model_.stateDim(), 0.0);
+    uPrev_.resize(m);
+    const SignalScaling &in = model_.inputScaling;
+    for (size_t i = 0; i < m; ++i)
+        uPrev_[i] = (u_initial_physical[i] - in.offset[i]) / in.scale[i];
+    zInt_.assign(model_.numOutputs(), 0.0);
 }
 
 const Matrix &
 LqgServoController::step(const Matrix &y_physical)
 {
-    if (y_physical.rows() != model_.numOutputs() ||
-        y_physical.cols() != 1) {
-        fatal("step: expected ", model_.numOutputs(), " outputs");
-    }
+    const size_t n = model_.stateDim();
+    const size_t m = model_.numInputs();
+    const size_t p = model_.numOutputs();
+    if (y_physical.rows() != p || y_physical.cols() != 1)
+        fatal("step: expected ", p, " outputs");
+    const SignalScaling &in = model_.inputScaling;
+    const SignalScaling &out = model_.outputScaling;
+    double *const x_hat = xHat_.data();
+    double *const u_prev = uPrev_.data();
+    double *const z_int = zInt_.data();
 
     // Reject corrupt measurements: hold the last applied command and
     // keep the estimator/integrator untouched. One NaN sample must not
     // poison x_hat (every later step would then be NaN too).
     bool measurement_finite = true;
-    for (size_t i = 0; i < y_physical.rows(); ++i)
+    for (size_t i = 0; i < p; ++i)
         measurement_finite &= std::isfinite(y_physical[i]) != 0;
     if (!measurement_finite) {
         ++rejectedMeasurements_;
-        model_.inputScaling.toPhysicalInto(ws_.uPhys, uPrev_);
-        return ws_.uPhys;
+        for (size_t i = 0; i < m; ++i) {
+            const double t = u_prev[i] * in.scale[i];
+            uPhys_[i] = t + in.offset[i];
+        }
+        return uPhys_;
     }
-
-    model_.outputScaling.toScaledInto(ws_.yScaled, y_physical);
-    const Matrix &y = ws_.yScaled;
 
     // Estimator measurement update is folded into the predict step
     // below (innovations form): first compute the new command from the
     // current estimate, then advance the estimate with it.
     //
-    // Every block below keeps the per-element rounding sequence of the
-    // original expression form (one product per gemv, negation and
-    // subtraction in the original association order), so results are
-    // bit-identical to the allocating version — the golden-trace
-    // digests check exactly this.
-    Matrix::subInto(ws_.dx, xHat_, xSs_);
-    Matrix::subInto(ws_.duPrev, uPrev_, uSs_);
-    Matrix::gemv(ws_.t1, design_.kx, ws_.dx);
-    Matrix::gemv(ws_.t2, design_.ku, ws_.duPrev);
-    Matrix::gemv(ws_.t3, design_.kz, zInt_);
-    // v = ((-t1) - t2) - t3, then u = uPrev + v.
-    for (size_t i = 0; i < ws_.u.rows(); ++i) {
-        const double neg = -ws_.t1[i];
-        const double vi1 = neg - ws_.t2[i];
-        const double vi = vi1 - ws_.t3[i];
-        ws_.u[i] = uPrev_[i] + vi;
-    }
-
-    // Saturate in physical units.
-    ws_.uUnsat = ws_.u;
-    model_.inputScaling.toPhysicalInto(ws_.uPhys, ws_.u);
+    // Every dot product starts from +0.0 and accumulates over ascending
+    // k with one rounding per multiply and per add, and every other
+    // operation keeps the association of the matrix-vector form, so
+    // results are bit-identical to it (DESIGN.md §9) — the golden-trace
+    // digests and tests/control/servo_step_reference_test.cpp check
+    // exactly this.
+    //
+    // Command: v = ((-Kx (x_hat - x_ss)) - Ku (u_prev - u_ss)) - Kz z,
+    // u = u_prev + v, saturated in physical units.
+    const double *const kx = design_.kx.data().data();
+    const double *const ku = design_.ku.data().data();
+    const double *const kz = design_.kz.data().data();
+    const double *const x_ss = xSs_.data().data();
+    const double *const u_ss = uSs_.data().data();
     bool saturated = false;
-    for (size_t i = 0; i < ws_.uPhys.rows(); ++i) {
-        if (ws_.uPhys[i] < limits_.lo[i]) {
-            ws_.uPhys[i] = limits_.lo[i];
+    for (size_t i = 0; i < m; ++i) {
+        double t1 = 0.0;
+        for (size_t k = 0; k < n; ++k) {
+            const double dx = x_hat[k] - x_ss[k];
+            const double t = kx[i * n + k] * dx;
+            t1 += t;
+        }
+        double t2 = 0.0;
+        for (size_t k = 0; k < m; ++k) {
+            const double du = u_prev[k] - u_ss[k];
+            const double t = ku[i * m + k] * du;
+            t2 += t;
+        }
+        double t3 = 0.0;
+        for (size_t k = 0; k < p; ++k) {
+            const double t = kz[i * p + k] * z_int[k];
+            t3 += t;
+        }
+        const double neg = -t1;
+        const double v1 = neg - t2;
+        const double v = v1 - t3;
+        const double u_unsat = u_prev[i] + v;
+        const double t = u_unsat * in.scale[i];
+        double phys = t + in.offset[i];
+        if (phys < limits_.lo[i]) {
+            phys = limits_.lo[i];
             saturated = true;
-        } else if (ws_.uPhys[i] > limits_.hi[i]) {
-            ws_.uPhys[i] = limits_.hi[i];
+        } else if (phys > limits_.hi[i]) {
+            phys = limits_.hi[i];
             saturated = true;
         }
+        uPhys_[i] = phys;
+        uExcess_[i] = u_unsat;
     }
-    model_.inputScaling.toScaledInto(ws_.u, ws_.uPhys);
+    // The applied command, rescaled, becomes u_prev: every element of
+    // the command above has read the old one.
+    for (size_t i = 0; i < m; ++i) {
+        const double t = uPhys_[i] - in.offset[i];
+        const double u = t / in.scale[i];
+        uExcess_[i] -= u;
+        u_prev[i] = u;
+    }
 
     // Mild back-calculation anti-windup: bleed a fraction of the
     // clipped input excess into the integrator. Full back-calculation
     // over-corrects here (the quantized plant re-excites it every
     // epoch); conditional integration below does the rest.
     if (saturated) {
-        Matrix::subInto(ws_.awDiff, ws_.uUnsat, ws_.u);
-        Matrix::gemv(ws_.awCorr, design_.kzPinv, ws_.awDiff);
-        Matrix::axpy(zInt_, 0.1, ws_.awCorr);
-    }
-
-    // Kalman update with the measurement and the *applied* input.
-    Matrix::gemv(ws_.cx, model_.c, xHat_);
-    Matrix::gemv(ws_.duFeed, model_.d, ws_.u);
-    for (size_t i = 0; i < ws_.inno.rows(); ++i) {
-        const double t = y[i] - ws_.cx[i];
-        ws_.inno[i] = t - ws_.duFeed[i];
-    }
-    lastInnovationNorm_ = ws_.inno.frobeniusNorm();
-    Matrix::gemv(ws_.ax, model_.a, xHat_);
-    Matrix::gemv(ws_.bu, model_.b, ws_.u);
-    Matrix::gemv(ws_.li, design_.kalmanGain, ws_.inno);
-    for (size_t i = 0; i < xHat_.rows(); ++i) {
-        const double t = ws_.ax[i] + ws_.bu[i];
-        xHat_[i] = t + ws_.li[i];
-    }
-
-    // Integrate the tracking error, matching the design's
-    // z+ = z - y + y0; pause while saturated (conditional integration)
-    // and keep a generous safety bound.
-    if (!saturated) {
-        for (size_t i = 0; i < zInt_.rows(); ++i) {
-            const double t = y0Scaled_[i] - y[i];
-            zInt_[i] += t;
+        const double *const kz_pinv = design_.kzPinv.data().data();
+        for (size_t i = 0; i < p; ++i) {
+            double corr = 0.0;
+            for (size_t k = 0; k < m; ++k) {
+                const double t = kz_pinv[i * m + k] * uExcess_[k];
+                corr += t;
+            }
+            const double t = 0.1 * corr;
+            z_int[i] += t;
         }
     }
-    for (size_t i = 0; i < zInt_.rows(); ++i)
-        zInt_[i] = std::clamp(zInt_[i], -100.0, 100.0);
+
+    // Kalman innovation with the measurement and the *applied* input,
+    // inno = (y - C x_hat) - D u. The integrator follows the design's
+    // z+ = z - y + y0, paused while saturated (conditional
+    // integration), within a generous safety bound.
+    const double *const c = model_.c.data().data();
+    const double *const d = model_.d.data().data();
+    const double *const y0 = y0Scaled_.data().data();
+    double inno_sq = 0.0;
+    for (size_t i = 0; i < p; ++i) {
+        const double y = (y_physical[i] - out.offset[i]) / out.scale[i];
+        double cx = 0.0;
+        for (size_t k = 0; k < n; ++k) {
+            const double t = c[i * n + k] * x_hat[k];
+            cx += t;
+        }
+        double du = 0.0;
+        for (size_t k = 0; k < m; ++k) {
+            const double t = d[i * m + k] * u_prev[k];
+            du += t;
+        }
+        const double t = y - cx;
+        const double inno = t - du;
+        inno_[i] = inno;
+        const double sq = inno * inno;
+        inno_sq += sq;
+        if (!saturated) {
+            const double e = y0[i] - y;
+            z_int[i] += e;
+        }
+        z_int[i] = std::clamp(z_int[i], -100.0, 100.0);
+    }
+    lastInnovationSq_ = inno_sq;
+
+    // x_hat+ = (A x_hat + B u) + L inno.
+    const double *const a = model_.a.data().data();
+    const double *const b = model_.b.data().data();
+    const double *const l = design_.kalmanGain.data().data();
+    for (size_t i = 0; i < n; ++i) {
+        double ax = 0.0;
+        for (size_t k = 0; k < n; ++k) {
+            const double t = a[i * n + k] * x_hat[k];
+            ax += t;
+        }
+        double bu = 0.0;
+        for (size_t k = 0; k < m; ++k) {
+            const double t = b[i * m + k] * u_prev[k];
+            bu += t;
+        }
+        double li = 0.0;
+        for (size_t k = 0; k < p; ++k) {
+            const double t = l[i * p + k] * inno_[k];
+            li += t;
+        }
+        const double t = ax + bu;
+        xNext_[i] = t + li;
+    }
+    std::swap(xHat_, xNext_);
 
     // Saturation watchdog: persistent saturation with a large tracking
     // error means the loop is locked into a wrong corner (the frozen
     // integrator cannot pull it out); re-initialize the estimator and
     // integrator so the servo re-approaches from the operating point.
     if (watchdogSteps_ > 0) {
+        // Only a saturated step reads the tracking error.
         double rel_err = 0.0;
-        for (size_t i = 0; i < y.rows(); ++i) {
+        for (size_t i = 0; saturated && i < p; ++i) {
             const double ref = y0Physical_[i];
             if (std::abs(ref) > 1e-12) {
                 rel_err = std::max(
-                    rel_err,
-                    std::abs(y_physical[i] - ref) / std::abs(ref));
+                    rel_err, std::abs(y_physical[i] - ref) / std::abs(ref));
             }
         }
         if (saturated && rel_err > 0.15)
@@ -348,24 +398,19 @@ LqgServoController::step(const Matrix &y_physical)
         if (satStreak_ >= watchdogSteps_) {
             satStreak_ = 0;
             ++watchdogTrips_;
-            xHat_.setZero();
-            zInt_.setZero();
+            std::fill(xHat_.begin(), xHat_.end(), 0.0);
+            std::fill(zInt_.begin(), zInt_.end(), 0.0);
         }
     }
-
-    uPrev_ = ws_.u;
-    return ws_.uPhys;
+    return uPhys_;
 }
 
 bool
 LqgServoController::stateFinite() const
 {
-    const auto all_finite = [](const Matrix &m) {
-        for (size_t i = 0; i < m.size(); ++i) {
-            if (!std::isfinite(m.data()[i]))
-                return false;
-        }
-        return true;
+    const auto all_finite = [](const std::vector<double> &v) {
+        return std::all_of(v.begin(), v.end(),
+                           [](double e) { return std::isfinite(e); });
     };
     return all_finite(xHat_) && all_finite(uPrev_) && all_finite(zInt_);
 }

@@ -22,7 +22,9 @@
 
 #pragma once
 
+#include <cmath>
 #include <optional>
+#include <vector>
 
 #include "common/expected.hpp"
 #include "control/statespace.hpp"
@@ -106,15 +108,18 @@ class LqgServoController
      * estimate or kill the loop.
      *
      * The returned reference points into a controller-owned buffer and
-     * is valid until the next step()/reset() call. Steady-state calls
-     * perform no heap allocation: all intermediates live in a
-     * preallocated workspace, and the per-element arithmetic follows
-     * the exact rounding sequence of the original expression form so
-     * golden-trace digests are unchanged.
+     * is valid until the next step()/reset() call. Calls perform no
+     * heap allocation. Each command, innovation and next-state element
+     * is built in one pass over the design matrices' row-major storage,
+     * with the rounding sequence of the matrix-vector form (DESIGN.md
+     * §9), so golden-trace digests are unchanged.
      */
     const Matrix &step(const Matrix &y_physical);
 
-    /** Reset the estimator/integrator, keeping the design. */
+    /**
+     * Reset the estimator/integrator, keeping the design. fatal()s
+     * unless @p u_initial_physical is I x 1.
+     */
     void reset(const Matrix &u_initial_physical);
 
     /**
@@ -139,7 +144,7 @@ class LqgServoController
      * measurements no longer fit the model (sensor fault or plant
      * departure) and the estimate is drifting.
      */
-    double lastInnovationNorm() const { return lastInnovationNorm_; }
+    double lastInnovationNorm() const { return std::sqrt(lastInnovationSq_); }
 
     /** True while the estimator/integrator state is finite. */
     bool stateFinite() const;
@@ -180,45 +185,24 @@ class LqgServoController
     Matrix xSs_;
     Matrix uSs_;
 
-    // Runtime state (scaled coordinates).
-    Matrix xHat_;
-    Matrix uPrev_;
-    Matrix zInt_;
+    // Runtime state (scaled coordinates), sized by reset().
+    std::vector<double> xHat_;
+    std::vector<double> uPrev_;
+    std::vector<double> zInt_;
 
-    /**
-     * Preallocated step() intermediates, sized once by init(). Owning
-     * them here (rather than as locals) is what makes the steady-state
-     * step allocation-free; see DESIGN.md §9 for the ownership policy.
-     */
-    struct StepWorkspace
-    {
-        Matrix yScaled;  //!< Scaled measurement.
-        Matrix dx;       //!< xHat - xSs.
-        Matrix duPrev;   //!< uPrev - uSs.
-        Matrix t1;       //!< Kx dx.
-        Matrix t2;       //!< Ku duPrev.
-        Matrix t3;       //!< Kz zInt.
-        Matrix u;        //!< Scaled command.
-        Matrix uUnsat;   //!< Command before saturation.
-        Matrix uPhys;    //!< Physical command (returned by reference).
-        Matrix awDiff;   //!< uUnsat - u (anti-windup excess).
-        Matrix awCorr;   //!< KzPinv awDiff.
-        Matrix cx;       //!< C xHat.
-        Matrix duFeed;   //!< D u.
-        Matrix inno;     //!< Kalman innovation.
-        Matrix ax;       //!< A xHat.
-        Matrix bu;       //!< B u.
-        Matrix li;       //!< L inno.
-    };
-    StepWorkspace ws_;
+    // step() buffers, sized by init(): every element of the next state
+    // reads every innovation and every old state element, and the
+    // anti-windup correction reads every input's excess.
+    Matrix uPhys_;                //!< I x 1 physical command (returned).
+    std::vector<double> uExcess_; //!< Command before minus after saturation.
+    std::vector<double> inno_;    //!< Kalman innovation.
+    std::vector<double> xNext_;   //!< Next state estimate.
 
-    /** Size every workspace buffer (one-time allocations). */
-    void allocWorkspace();
     unsigned watchdogSteps_ = 100;
     unsigned satStreak_ = 0;
     unsigned long watchdogTrips_ = 0;
     unsigned long rejectedMeasurements_ = 0;
-    double lastInnovationNorm_ = 0.0;
+    double lastInnovationSq_ = 0.0; //!< Squared norm of the innovation.
 };
 
 } // namespace mimoarch

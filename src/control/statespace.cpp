@@ -78,26 +78,6 @@ SignalScaling::toPhysical(const Matrix &scaled) const
     return out;
 }
 
-void
-SignalScaling::toScaledInto(Matrix &out, const Matrix &physical) const
-{
-    if (physical.cols() != 1 || physical.rows() != channels())
-        panic("toScaledInto: expected ", channels(), " x 1 vector");
-    out.resizeShape(channels(), 1);
-    for (size_t i = 0; i < channels(); ++i)
-        out[i] = (physical[i] - offset[i]) / scale[i];
-}
-
-void
-SignalScaling::toPhysicalInto(Matrix &out, const Matrix &scaled) const
-{
-    if (scaled.cols() != 1 || scaled.rows() != channels())
-        panic("toPhysicalInto: expected ", channels(), " x 1 vector");
-    out.resizeShape(channels(), 1);
-    for (size_t i = 0; i < channels(); ++i)
-        out[i] = scaled[i] * scale[i] + offset[i];
-}
-
 Matrix
 SignalScaling::scaleWeight(const Matrix &physical_weight) const
 {

@@ -41,14 +41,6 @@ struct SignalScaling
     /** Scaled -> physical. */
     Matrix toPhysical(const Matrix &scaled) const;
 
-    /**
-     * Column-vector variants writing into a caller-owned buffer; no
-     * allocation once @p out holds channels() elements. Bit-identical
-     * to the value-returning forms.
-     */
-    void toScaledInto(Matrix &out, const Matrix &physical) const;
-    void toPhysicalInto(Matrix &out, const Matrix &scaled) const;
-
     /** Scale a diagonal quadratic weight from physical to scaled space:
      *  e_phys' W e_phys == e_scaled' (S W S) e_scaled with S=diag(scale).
      */

@@ -187,7 +187,6 @@ class EpochDriver
 
     Plant &plant() { return plant_; }
     ArchController &controller() { return controller_; }
-    const DriverConfig &config() const { return config_; }
 
     /** True (hardware-side) outputs of the last stepped epoch — the
      *  chip arbiter's per-core demand sensors. */

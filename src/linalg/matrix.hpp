@@ -274,13 +274,15 @@ class MatrixT
      * Matrix product.
      *
      * ACCUMULATION-ORDER CONTRACT: every product kernel in this header
-     * (operator*, mulInto, gemv) accumulates r(i, j) in (i, k, j) loop
-     * order with k ascending, starting from +0.0, with one rounding per
+     * (operator*, gemv) accumulates r(i, j) in (i, k, j) loop order
+     * with k ascending, starting from +0.0, with one rounding per
      * multiply and one per add (multiplies and adds stay in separate
-     * statements so no fused multiply-add can form). The golden-trace
-     * digests (tests/data/golden_traces.txt) hash result doubles
-     * bit-for-bit, so any reordering, blocking, or fusion here is an
-     * observable break even when mathematically neutral. There is
+     * statements so no fused multiply-add can form). The same contract
+     * binds the fused per-element steps of LqgServoController and
+     * SurrogateDynamics. The golden-trace digests
+     * (tests/data/golden_traces.txt) hash result doubles bit-for-bit,
+     * so any reordering, blocking, or fusion here is an observable
+     * break even when mathematically neutral. There is
      * deliberately no zero-skip: skipping a(i, k) == 0 would be
      * bit-identical for finite inputs (the accumulator starts at +0.0
      * and can never become -0.0), but it silently drops 0 * NaN and
@@ -307,41 +309,11 @@ class MatrixT
         return r;
     }
 
-    // ---- In-place kernels -------------------------------------------
-    // Allocation-free counterparts of the value-returning operators,
-    // for steady-state hot paths. `out` is reshaped without
-    // reallocating when its storage already holds rows * cols elements
-    // (a warm-up call pays any growth once); inputs must not alias
-    // `out` where noted. Product kernels follow the accumulation-order
-    // contract documented on operator*.
-
-    /** out = a * b. @p out must not alias an input. */
-    static void
-    mulInto(MatrixT &out, const MatrixT &a, const MatrixT &b)
-    {
-        if (a.cols_ != b.rows_) {
-            panic("mulInto shape mismatch: ", a.rows_, "x", a.cols_, " * ",
-                  b.rows_, "x", b.cols_);
-        }
-        if (&out == &a || &out == &b)
-            panic("mulInto: out aliases an input");
-        out.resizeShape(a.rows_, b.cols_);
-        std::fill(out.data_.begin(), out.data_.end(), T{});
-        const size_t n = b.cols_;
-        for (size_t i = 0; i < a.rows_; ++i) {
-            T *ri = &out.data_[i * n];
-            for (size_t k = 0; k < a.cols_; ++k) {
-                const T aik = a.data_[i * a.cols_ + k];
-                const T *bk = &b.data_[k * n];
-                for (size_t j = 0; j < n; ++j) {
-                    const T t = aik * bk[j];
-                    ri[j] += t;
-                }
-            }
-        }
-    }
-
-    /** out = a * x for a column vector x. @p out must not alias. */
+    /**
+     * out = a * x for a column vector x, with no allocation once @p out
+     * holds a.rows() elements. Follows the accumulation-order contract
+     * documented on operator*. @p out must not alias an input.
+     */
     static void
     gemv(MatrixT &out, const MatrixT &a, const MatrixT &x)
     {
@@ -361,45 +333,6 @@ class MatrixT
             }
             out.data_[i] = s;
         }
-    }
-
-    /** out = a + b elementwise (out may alias either input). */
-    static void
-    addInto(MatrixT &out, const MatrixT &a, const MatrixT &b)
-    {
-        a.checkSameShape(b, "addInto");
-        out.resizeShape(a.rows_, a.cols_);
-        for (size_t i = 0; i < out.data_.size(); ++i)
-            out.data_[i] = a.data_[i] + b.data_[i];
-    }
-
-    /** out = a - b elementwise (out may alias either input). */
-    static void
-    subInto(MatrixT &out, const MatrixT &a, const MatrixT &b)
-    {
-        a.checkSameShape(b, "subInto");
-        out.resizeShape(a.rows_, a.cols_);
-        for (size_t i = 0; i < out.data_.size(); ++i)
-            out.data_[i] = a.data_[i] - b.data_[i];
-    }
-
-    /** y += alpha * x elementwise (one rounding per multiply and add,
-     *  matching `y += x * alpha` on separate statements bit-for-bit). */
-    static void
-    axpy(MatrixT &y, T alpha, const MatrixT &x)
-    {
-        y.checkSameShape(x, "axpy");
-        for (size_t i = 0; i < y.data_.size(); ++i) {
-            const T t = alpha * x.data_[i];
-            y.data_[i] += t;
-        }
-    }
-
-    /** Reset every element to zero, keeping shape and storage. */
-    void
-    setZero()
-    {
-        std::fill(data_.begin(), data_.end(), T{});
     }
 
     /**

@@ -154,38 +154,70 @@ SurrogateDynamics::SurrogateDynamics(const SurrogateModel &model,
     model.dynamics.validate();
     if (model.noiseSigma.size() != model.dynamics.numOutputs())
         fatal("SurrogateDynamics: need one noise sigma per output");
-    const size_t n = model.dynamics.stateDim();
-    const size_t i = model.dynamics.numInputs();
-    const size_t o = model.dynamics.numOutputs();
-    x_ = Matrix(n, 1);
-    xNext_ = Matrix(n, 1);
-    tmpN_ = Matrix(n, 1);
-    uScaled_ = Matrix(i, 1);
-    yScaled_ = Matrix(o, 1);
-    tmpO_ = Matrix(o, 1);
-    yPhys_ = Matrix(o, 1);
+    if (model.dynamics.numOutputs() < kNumPlantOutputs)
+        fatal("SurrogateDynamics: need IPS and power outputs");
+    x_.assign(model.dynamics.stateDim(), 0.0);
+    xNext_.assign(model.dynamics.stateDim(), 0.0);
+    uScaled_.assign(model.dynamics.numInputs(), 0.0);
+    yPhys_ = Matrix(model.dynamics.numOutputs(), 1);
 }
 
 const Matrix &
 SurrogateDynamics::step(const Matrix &u_physical)
 {
     const StateSpaceModel &d = model_->dynamics;
-    d.inputScaling.toScaledInto(uScaled_, u_physical);
+    const size_t n = d.stateDim();
+    const size_t ni = d.numInputs();
+    const size_t no = d.numOutputs();
+    if (u_physical.rows() != ni || u_physical.cols() != 1)
+        fatal("SurrogateDynamics::step: expected ", ni, " inputs");
+    // Each element in one pass, with the rounding sequence of the
+    // matrix-vector form (DESIGN.md §9).
+    for (size_t k = 0; k < ni; ++k) {
+        uScaled_[k] = (u_physical[k] - d.inputScaling.offset[k]) /
+            d.inputScaling.scale[k];
+    }
 
-    // y = C x + D u + v, v ~ N(0, diag(noiseSigma)^2).
-    Matrix::gemv(yScaled_, d.c, x_);
-    Matrix::gemv(tmpO_, d.d, uScaled_);
-    Matrix::addInto(yScaled_, yScaled_, tmpO_);
-    for (size_t k = 0; k < model_->noiseSigma.size(); ++k)
-        yScaled_[k] += model_->noiseSigma[k] * rng_.normal();
+    // y = (C x + D u) + v, v ~ N(0, diag(noiseSigma)^2), drawn in
+    // output order.
+    const double *const c = d.c.data().data();
+    const double *const dd = d.d.data().data();
+    for (size_t i = 0; i < no; ++i) {
+        double cx = 0.0;
+        for (size_t k = 0; k < n; ++k) {
+            const double t = c[i * n + k] * x_[k];
+            cx += t;
+        }
+        double du = 0.0;
+        for (size_t k = 0; k < ni; ++k) {
+            const double t = dd[i * ni + k] * uScaled_[k];
+            du += t;
+        }
+        double y = cx + du;
+        const double noise = model_->noiseSigma[i] * rng_.normal();
+        y += noise;
+        const double t = y * d.outputScaling.scale[i];
+        yPhys_[i] = t + d.outputScaling.offset[i];
+    }
 
     // x <- A x + B u.
-    Matrix::gemv(xNext_, d.a, x_);
-    Matrix::gemv(tmpN_, d.b, uScaled_);
-    Matrix::addInto(xNext_, xNext_, tmpN_);
+    const double *const a = d.a.data().data();
+    const double *const b = d.b.data().data();
+    for (size_t i = 0; i < n; ++i) {
+        double ax = 0.0;
+        for (size_t k = 0; k < n; ++k) {
+            const double t = a[i * n + k] * x_[k];
+            ax += t;
+        }
+        double bu = 0.0;
+        for (size_t k = 0; k < ni; ++k) {
+            const double t = b[i * ni + k] * uScaled_[k];
+            bu += t;
+        }
+        xNext_[i] = ax + bu;
+    }
     std::swap(x_, xNext_);
 
-    d.outputScaling.toPhysicalInto(yPhys_, yScaled_);
     if (yPhys_[kOutputIps] < model_->ipsFloor)
         yPhys_[kOutputIps] = model_->ipsFloor;
     if (yPhys_[kOutputPower] < model_->powerFloor)

@@ -19,11 +19,13 @@
  *   - the fit's validation report, the documented error envelope of the
  *     tier (bench/fig_fidelity gates on it).
  *
- * One surrogate step is a handful of small gemv kernels (~100 ns at
- * dimension 4), which is what buys the >= 100x sweep throughput over
- * the cycle-level tier. Everything is deterministic in (app, config,
- * seed_salt): two SurrogatePlants built from the same calibration and
- * salt replay bit-identical trajectories on any thread.
+ * One surrogate step is one pass per output and per state element
+ * over the identified model (71-76 ns at dimension 4 with two inputs
+ * and two outputs, Release, timed alone on a 4-vCPU VM), which is what
+ * buys the >= 100x sweep throughput over the cycle-level tier.
+ * Everything is deterministic in (app, config, seed_salt): two
+ * SurrogatePlants built from the same calibration and salt replay
+ * bit-identical trajectories on any thread.
  */
 
 #pragma once
@@ -125,13 +127,10 @@ class SurrogateDynamics
   private:
     const SurrogateModel *model_;
     Rng rng_;
-    Matrix x_;       //!< N x 1 state.
-    Matrix xNext_;   //!< N x 1 scratch.
-    Matrix tmpN_;    //!< N x 1 scratch.
-    Matrix uScaled_; //!< I x 1 scratch.
-    Matrix yScaled_; //!< O x 1 scratch.
-    Matrix tmpO_;    //!< O x 1 scratch.
-    Matrix yPhys_;   //!< O x 1 step() result buffer.
+    std::vector<double> x_;       //!< State.
+    std::vector<double> xNext_;   //!< Next state.
+    std::vector<double> uScaled_; //!< Scaled input.
+    Matrix yPhys_;                //!< O x 1 step() result buffer.
 };
 
 /** The analytic-tier Plant: steps a calibrated SurrogateModel. */

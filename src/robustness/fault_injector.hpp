@@ -135,7 +135,6 @@ class FaultInjector
     void reset();
 
     const FaultInjectorStats &stats() const { return stats_; }
-    const FaultScheduleConfig &config() const { return config_; }
 
   private:
     struct SensorChannel

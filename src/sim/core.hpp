@@ -96,7 +96,6 @@ class Core
     unsigned robOccupancy() const { return robCount_; }
 
     const CoreCounters &counters() const { return counters_; }
-    const CoreConfig &config() const { return config_; }
 
     /** Zero the activity counters (e.g. after a warmup run). */
     void resetCounters() { counters_ = CoreCounters{}; }

@@ -96,7 +96,6 @@ class Processor
 
     const Core &core() const { return core_; }
     const MemoryHierarchy &memory() const { return mem_; }
-    const ProcessorConfig &config() const { return config_; }
 
   private:
     ProcessorConfig config_;

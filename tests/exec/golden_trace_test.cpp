@@ -16,13 +16,13 @@
  *   - Decoupled tracking (the two SISO loops of Figs. 11 and 12) on
  *     povray from the off-target start, which pins identifySisoModels.
  *
- * Since the allocation-free refactor, the controller and harness hot
- * paths run through MatrixT's in-place kernels (mulInto, gemv, axpy,
- * ...) rather than the allocating operators. The digests in
+ * The controller and surrogate steps no longer run the allocating
+ * operators: each builds its output elements in one pass over the
+ * model's row-major storage. The digests in
  * tests/data/golden_traces.txt were recorded on the operator-based
  * implementation and have deliberately NOT been regenerated: passing
- * here proves the kernels preserve the original arithmetic bit for
- * bit (the accumulation-order contract documented in matrix.hpp).
+ * here proves the steps preserve the original arithmetic bit for bit
+ * (the accumulation-order contract documented in matrix.hpp).
  *
  * The digests are exact double bit patterns, so they are specific to
  * a toolchain/libm. Regenerate after an intentional numeric change
