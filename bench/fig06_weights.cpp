@@ -79,6 +79,7 @@ main(int argc, char **argv)
                                          knobs, cfg);
             DriverConfig dcfg;
             dcfg.epochs = 2500;
+            dcfg.recordTrace = true;
             dcfg.errorSkipEpochs = 300;
             dcfg.fidelity = cfg.fidelity;
             dcfg.cancel = &ctx.cancel;

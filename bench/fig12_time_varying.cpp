@@ -66,6 +66,7 @@ main(int argc, char **argv)
             SimPlant plant(Spec2006Suite::byName(name), knobs);
             DriverConfig dcfg;
             dcfg.epochs = epochs;
+            dcfg.recordTrace = true;
             dcfg.cancel = &ctx.cancel;
             EpochDriver driver(plant, *ctrls[a], dcfg, &battery);
             driver.run(KnobSettings{});

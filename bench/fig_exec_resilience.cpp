@@ -67,6 +67,7 @@ runJob(const exec::JobContext &ctx, const ExperimentConfig &cfg,
     SimPlant plant(Spec2006Suite::byName(ctx.key.app), knobs);
     DriverConfig dcfg;
     dcfg.epochs = 700;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 100;
     dcfg.cancel = &ctx.cancel;
     EpochDriver driver(plant, *ctrl, dcfg);

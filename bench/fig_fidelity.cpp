@@ -15,7 +15,10 @@
  * Exit status is the verdict (satellite of the fidelity-tier work): 0
  * when every app is inside the documented tolerances below, 1
  * otherwise — so CI or a sweep script can gate an analytic campaign on
- * the surrogate still being trustworthy. Writes BENCH_fidelity.json.
+ * the surrogate still being trustworthy. Writes BENCH_fidelity.json
+ * (schema 2), which holds only deterministic fields, so any --jobs
+ * writes the same bytes; the two tiers' throughputs are wall-clock
+ * figures and go to stdout only.
  *
  *   ./bench/fig_fidelity --jobs 2
  */
@@ -217,13 +220,10 @@ main(int argc, char **argv)
     std::FILE *f = std::fopen("BENCH_fidelity.json", "w");
     if (!f)
         fatal("cannot write BENCH_fidelity.json");
-    std::fprintf(f, "{\n  \"schema\": 1,\n");
+    std::fprintf(f, "{\n  \"schema\": 2,\n");
     std::fprintf(f, "  \"open_loop_mean_tol\": %.2f,\n", kOpenLoopMeanTol);
     std::fprintf(f, "  \"closed_loop_tol\": %.2f,\n", kClosedLoopTol);
     std::fprintf(f, "  \"rank_tie_band\": %.2f,\n", kRankTieBand);
-    std::fprintf(f, "  \"cycle_epochs_per_sec\": %.1f,\n", cycle_eps);
-    std::fprintf(f, "  \"analytic_epochs_per_sec\": %.1f,\n",
-                 analytic_eps);
     std::fprintf(f, "  \"discordant_pairs\": %zu,\n", discordant);
     std::fprintf(f, "  \"apps\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {

@@ -45,6 +45,7 @@ main(int argc, char **argv)
     SimPlant plant(Spec2006Suite::byName(app_name), knobs);
     DriverConfig dcfg;
     dcfg.epochs = 10000;
+    dcfg.recordTrace = true;
     EpochDriver driver(plant, *controller, dcfg, &battery);
     std::printf("running %s on a %.2f J battery (10,000 epochs = "
                 "0.5 s)...\n\n", app_name.c_str(), battery_j);

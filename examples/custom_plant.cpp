@@ -109,6 +109,7 @@ main()
 
     DriverConfig dcfg;
     dcfg.epochs = 600;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 100;
     EpochDriver driver(plant, controller, dcfg);
     const RunSummary sum = driver.run(KnobSettings{});

@@ -55,6 +55,7 @@ main(int argc, char **argv)
     SimPlant pm(Spec2006Suite::byName(app_name), knobs);
     DriverConfig mcfg;
     mcfg.epochs = 2500;
+    mcfg.recordTrace = true;
     mcfg.useOptimizer = true;
     mcfg.optimizer.metricExponent = k;
     EpochDriver md(pm, *controller, mcfg);

@@ -56,6 +56,7 @@ main(int argc, char **argv)
 
     DriverConfig dcfg;
     dcfg.epochs = 2000;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 300;
     EpochDriver driver(plant, *controller, dcfg);
     KnobSettings init; // start well off-target

@@ -211,12 +211,13 @@ LqgServoController::reset(const Matrix &u_initial_physical)
     zInt_.assign(model_.numOutputs(), 0.0);
 }
 
+template <class Shape>
 const Matrix &
-LqgServoController::step(const Matrix &y_physical)
+LqgServoController::stepAt(const Matrix &y_physical)
 {
-    const size_t n = model_.stateDim();
-    const size_t m = model_.numInputs();
-    const size_t p = model_.numOutputs();
+    const size_t n = Shape::states(model_);
+    const size_t m = Shape::inputs(model_);
+    const size_t p = Shape::outputs(model_);
     if (y_physical.rows() != p || y_physical.cols() != 1)
         fatal("step: expected ", p, " outputs");
     const SignalScaling &in = model_.inputScaling;
@@ -403,6 +404,14 @@ LqgServoController::step(const Matrix &y_physical)
         }
     }
     return uPhys_;
+}
+
+const Matrix &
+LqgServoController::step(const Matrix &y_physical)
+{
+    if (PaperShape::matches(model_))
+        return stepAt<PaperShape>(y_physical);
+    return stepAt<RuntimeShape>(y_physical);
 }
 
 bool

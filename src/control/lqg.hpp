@@ -112,7 +112,9 @@ class LqgServoController
      * heap allocation. Each command, innovation and next-state element
      * is built in one pass over the design matrices' row-major storage,
      * with the rounding sequence of the matrix-vector form (DESIGN.md
-     * §9), so golden-trace digests are unchanged.
+     * §9), so golden-trace digests are unchanged. A PaperShape model
+     * runs the body compiled at that shape, any other the one with
+     * run-time extents; both give the same bits.
      */
     const Matrix &step(const Matrix &y_physical);
 
@@ -173,6 +175,10 @@ class LqgServoController
 
     /** Steady-state servo targets (xSs_, uSs_) for y0Scaled_. */
     void computeTargets();
+
+    /** step()'s one body, at a ModelShape (statespace.hpp). */
+    template <class Shape>
+    const Matrix &stepAt(const Matrix &y_physical);
 
     StateSpaceModel model_;
     LqgWeights weights_;

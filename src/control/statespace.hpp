@@ -78,4 +78,44 @@ struct StateSpaceModel
     CMatrix transferAt(std::complex<double> z) const;
 };
 
+/**
+ * A model shape for code compiled per shape: the state, input and
+ * output counts, where 0 means "read from the model at run time". The
+ * servo and surrogate steps are one body each over a shape, compiled
+ * at PaperShape and RuntimeShape (DESIGN.md §9).
+ */
+template <size_t N, size_t I, size_t O>
+struct ModelShape
+{
+    static size_t states(const StateSpaceModel &m)
+    {
+        return N ? N : m.stateDim();
+    }
+    static size_t inputs(const StateSpaceModel &m)
+    {
+        return I ? I : m.numInputs();
+    }
+    static size_t outputs(const StateSpaceModel &m)
+    {
+        return O ? O : m.numOutputs();
+    }
+
+    /** True if @p m has this shape's fixed counts. */
+    static bool matches(const StateSpaceModel &m)
+    {
+        return states(m) == m.stateDim() && inputs(m) == m.numInputs() &&
+            outputs(m) == m.numOutputs();
+    }
+};
+
+/**
+ * The paper's identified model (§III-A, §VI-C): a dimension-4 state,
+ * two knobs (frequency, cache size) and two outputs (IPS, power). It
+ * is the shape of every analytic job and every chip core in loopbench.
+ */
+using PaperShape = ModelShape<4, 2, 2>;
+
+/** Every other shape: all three counts read at run time. */
+using RuntimeShape = ModelShape<0, 0, 0>;
+
 } // namespace mimoarch

@@ -124,19 +124,23 @@ void
 EpochDriver::begin(const KnobSettings &initial)
 {
     trace_ = EpochTrace{};
-    // One up-front reservation per trace series keeps the epoch loop
-    // free of reallocation (and of any heap traffic at all once the
-    // controller workspaces are warm).
-    trace_.ips.reserve(config_.epochs);
-    trace_.power.reserve(config_.epochs);
-    trace_.trueIps.reserve(config_.epochs);
-    trace_.truePower.reserve(config_.epochs);
-    trace_.refIps.reserve(config_.epochs);
-    trace_.refPower.reserve(config_.epochs);
+    // One up-front reservation per recorded series keeps the epoch
+    // loop free of reallocation (and of any heap traffic at all once
+    // the controller workspaces are warm). finish() reads the two knob
+    // series, so they are always recorded; the other eight only when
+    // a caller asked for them.
     trace_.freqLevel.reserve(config_.epochs);
     trace_.cacheSetting.reserve(config_.epochs);
-    trace_.robPartitions.reserve(config_.epochs);
-    trace_.tier.reserve(config_.epochs);
+    if (config_.recordTrace) {
+        trace_.ips.reserve(config_.epochs);
+        trace_.power.reserve(config_.epochs);
+        trace_.trueIps.reserve(config_.epochs);
+        trace_.truePower.reserve(config_.epochs);
+        trace_.refIps.reserve(config_.epochs);
+        trace_.refPower.reserve(config_.epochs);
+        trace_.robPartitions.reserve(config_.epochs);
+        trace_.tier.reserve(config_.epochs);
+    }
     controller_.initialize(initial);
 
     runSpan_.emplace("run", "loop", nullptr, "epochs",
@@ -265,16 +269,18 @@ EpochDriver::stepEpoch()
         ++errSamples_;
     }
 
-    trace_.ips.push_back(y[kOutputIps]);
-    trace_.power.push_back(y[kOutputPower]);
-    trace_.trueIps.push_back(y_true[kOutputIps]);
-    trace_.truePower.push_back(y_true[kOutputPower]);
-    trace_.refIps.push_back(ref_ips);
-    trace_.refPower.push_back(ref_power);
     trace_.freqLevel.push_back(settings_.freqLevel);
     trace_.cacheSetting.push_back(settings_.cacheSetting);
-    trace_.robPartitions.push_back(settings_.robPartitions);
-    trace_.tier.push_back(controller_.health().tier);
+    if (config_.recordTrace) {
+        trace_.ips.push_back(y[kOutputIps]);
+        trace_.power.push_back(y[kOutputPower]);
+        trace_.trueIps.push_back(y_true[kOutputIps]);
+        trace_.truePower.push_back(y_true[kOutputPower]);
+        trace_.refIps.push_back(ref_ips);
+        trace_.refPower.push_back(ref_power);
+        trace_.robPartitions.push_back(settings_.robPartitions);
+        trace_.tier.push_back(controller_.health().tier);
+    }
 
     lastTrueIps_ = y_true[kOutputIps];
     lastTruePower_ = y_true[kOutputPower];

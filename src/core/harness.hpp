@@ -26,7 +26,11 @@
 
 namespace mimoarch {
 
-/** Per-epoch trace of a run (for figure time series). */
+/**
+ * Per-epoch trace of a run (for figure time series). An EpochDriver
+ * always fills `freqLevel` and `cacheSetting`, and the rest under
+ * DriverConfig::recordTrace.
+ */
 struct EpochTrace
 {
     std::vector<double> ips;    //!< As reported by the sensors.
@@ -102,9 +106,12 @@ struct DriverConfig
     size_t warmupEpochs = 150;     //!< Fast-forward before control.
     size_t errorSkipEpochs = 200;  //!< Transient excluded from errors.
     /**
-     * Not read by the driver: the per-epoch trace is always filled,
-     * because finish() derives steadyEpochFreq / steadyEpochCache
-     * from it. Kept so existing callers that set it still compile.
+     * Record the whole per-epoch trace. `freqLevel` and `cacheSetting`
+     * are always recorded, because finish() derives steadyEpochFreq /
+     * steadyEpochCache from them; the other eight series are filled
+     * only when this is set, and stay empty with zero capacity
+     * otherwise. Every caller that reads trace() beyond the two knob
+     * series sets it. The summary is the same either way.
      */
     bool recordTrace = false;
 
@@ -182,7 +189,11 @@ class EpochDriver
     /** Close the run and return its summary. */
     RunSummary finish();
 
-    /** Per-epoch trace (always filled; see DriverConfig::recordTrace). */
+    /**
+     * Per-epoch trace. `freqLevel` and `cacheSetting` are always
+     * present; the other eight series only under
+     * DriverConfig::recordTrace.
+     */
     const EpochTrace &trace() const { return trace_; }
 
     Plant &plant() { return plant_; }

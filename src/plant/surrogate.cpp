@@ -162,13 +162,14 @@ SurrogateDynamics::SurrogateDynamics(const SurrogateModel &model,
     yPhys_ = Matrix(model.dynamics.numOutputs(), 1);
 }
 
+template <class Shape>
 const Matrix &
-SurrogateDynamics::step(const Matrix &u_physical)
+SurrogateDynamics::stepAt(const Matrix &u_physical)
 {
     const StateSpaceModel &d = model_->dynamics;
-    const size_t n = d.stateDim();
-    const size_t ni = d.numInputs();
-    const size_t no = d.numOutputs();
+    const size_t n = Shape::states(d);
+    const size_t ni = Shape::inputs(d);
+    const size_t no = Shape::outputs(d);
     if (u_physical.rows() != ni || u_physical.cols() != 1)
         fatal("SurrogateDynamics::step: expected ", ni, " inputs");
     // Each element in one pass, with the rounding sequence of the
@@ -223,6 +224,14 @@ SurrogateDynamics::step(const Matrix &u_physical)
     if (yPhys_[kOutputPower] < model_->powerFloor)
         yPhys_[kOutputPower] = model_->powerFloor;
     return yPhys_;
+}
+
+const Matrix &
+SurrogateDynamics::step(const Matrix &u_physical)
+{
+    if (PaperShape::matches(model_->dynamics))
+        return stepAt<PaperShape>(u_physical);
+    return stepAt<RuntimeShape>(u_physical);
 }
 
 SurrogatePlant::SurrogatePlant(

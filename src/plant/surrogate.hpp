@@ -119,12 +119,18 @@ class SurrogateDynamics
      * Advance one epoch under physical input @p u_physical (I x 1) and
      * return the noisy physical outputs (O x 1, floor-clamped). The
      * reference is into an owned buffer, valid until the next step().
+     * A PaperShape model runs the body compiled at that shape, any
+     * other the one with run-time extents; both give the same bits.
      */
     const Matrix &step(const Matrix &u_physical);
 
     const SurrogateModel &model() const { return *model_; }
 
   private:
+    /** step()'s one body, at a ModelShape (statespace.hpp). */
+    template <class Shape>
+    const Matrix &stepAt(const Matrix &u_physical);
+
     const SurrogateModel *model_;
     Rng rng_;
     std::vector<double> x_;       //!< State.

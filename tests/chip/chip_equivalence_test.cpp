@@ -70,6 +70,7 @@ driverConfig()
 {
     DriverConfig dcfg;
     dcfg.epochs = 600;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 100;
     return dcfg;
 }
@@ -232,6 +233,7 @@ threeCoreChipRun(bool arbiter, unsigned threads,
     ccfg.powerEnvelopeW = 2.25 * cfg.powerReference;
     DriverConfig dcfg;
     dcfg.epochs = 130;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 30;
     dcfg.cancel = cancel;
     chip::ChipInstance inst(std::move(cores), ccfg, dcfg);

@@ -13,7 +13,11 @@
  * most as many outputs as inputs, non-identity scalings and exact-zero
  * entries. References far outside the input limits force saturation,
  * so the anti-windup branch runs; non-finite measurements exercise the
- * rejection path; a short watchdog trips the re-initialization.
+ * rejection path; a short watchdog trips the re-initialization. Each
+ * case ends with a block of 64 models of PaperShape (state 4, two
+ * inputs, two outputs), which the steps run at their fixed-shape
+ * instantiation; the servo block reaches saturation, rejection and the
+ * watchdog on its own.
  */
 
 #include <gtest/gtest.h>
@@ -373,99 +377,191 @@ physicalAround(Rng &rng, const SignalScaling &s, double spread)
     return v;
 }
 
+/** What a block of servo models reached. */
+struct ServoTally
+{
+    size_t models = 0, steps = 0, saturatedSteps = 0;
+    unsigned long rejected = 0, trips = 0;
+};
+
+/**
+ * Design a servo for a random model of the given shape and step it in
+ * lock-step with its gemv-based form. The model, weights and limits
+ * are drawn from @p rng; @p trial picks the watchdog and whether the
+ * reference is out of reach. A model whose design fails is skipped.
+ */
+void
+servoTrial(Rng &rng, int trial, size_t n, size_t inputs, size_t outputs,
+           ServoTally &tally)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const StateSpaceModel model = randomModel(rng, n, inputs, outputs);
+    LqgWeights weights;
+    for (size_t i = 0; i < outputs; ++i)
+        weights.outputWeights.push_back(rng.uniform(1.0, 100.0));
+    for (size_t i = 0; i < inputs; ++i)
+        weights.inputWeights.push_back(rng.uniform(10.0, 1000.0));
+    InputLimits limits;
+    for (size_t i = 0; i < inputs; ++i) {
+        const double off = model.inputScaling.offset[i];
+        const double sc = model.inputScaling.scale[i];
+        limits.lo.push_back(off - sc * rng.uniform(1.0, 4.0));
+        limits.hi.push_back(off + sc * rng.uniform(1.0, 4.0));
+    }
+    auto made = LqgServoController::tryMake(model, weights, limits);
+    if (!made.ok())
+        return;
+    LqgServoController fused = made.take();
+    GemvServo gemv(fused, limits);
+    ++tally.models;
+
+    const unsigned watchdog = trial % 3 == 0 ? 0u : 1u + trial % 5;
+    fused.setSaturationWatchdog(watchdog);
+    gemv.setSaturationWatchdog(watchdog);
+    // The loop is closed on a mismatched copy of the model. Every
+    // third model chases a reference far outside what its limits
+    // reach, so its commands sit on a rail.
+    const double spread = trial % 3 == 1 ? 40.0 : 0.5;
+    StateSpaceModel plant = model;
+    plant.a = model.a * rng.uniform(0.9, 1.05);
+    Matrix u = physicalAround(rng, model.inputScaling, 0.5);
+    for (int phase = 0; phase < 2; ++phase) {
+        const Matrix ref = physicalAround(rng, model.outputScaling, spread);
+        fused.setReference(ref);
+        gemv.setReference(ref);
+        fused.reset(u);
+        gemv.reset(u);
+        Matrix x(n, 1);
+        for (int t = 0; t < 120; ++t) {
+            const Matrix us = plant.inputScaling.toScaled(u);
+            Matrix ys = plant.c * x + plant.d * us;
+            for (size_t i = 0; i < outputs; ++i)
+                ys[i] += rng.normal(0.0, 0.05);
+            x = plant.a * x + plant.b * us;
+            Matrix meas = plant.outputScaling.toPhysical(ys);
+            if (rng.uniform() < 0.04) {
+                const double bad[] = {nan, inf, -inf};
+                meas[rng.uniformInt(outputs)] = bad[rng.uniformInt(3)];
+            }
+            const Matrix &want = gemv.step(meas);
+            const Matrix &got = fused.step(meas);
+            ASSERT_TRUE(bitEqual(got, want))
+                << "trial " << trial << " phase " << phase << " step " << t
+                << " (n=" << n << ", " << inputs << " in, " << outputs
+                << " out)";
+            ASSERT_EQ(bitsOf(fused.lastInnovationNorm()),
+                      bitsOf(gemv.lastInnovationNorm()))
+                << "trial " << trial << " step " << t;
+            ASSERT_EQ(fused.rejectedMeasurements(),
+                      gemv.rejectedMeasurements());
+            ASSERT_EQ(fused.watchdogTrips(), gemv.watchdogTrips());
+            ++tally.steps;
+            for (size_t i = 0; i < inputs; ++i) {
+                if (got[i] == limits.lo[i] || got[i] == limits.hi[i]) {
+                    ++tally.saturatedSteps;
+                    break;
+                }
+            }
+            u = got;
+        }
+    }
+    tally.rejected += fused.rejectedMeasurements();
+    tally.trips += fused.watchdogTrips();
+}
+
+/** The block reached every branch the oracle is meant to check. */
+void
+expectEveryServoBranch(const ServoTally &t, const char *block)
+{
+    SCOPED_TRACE(block);
+    EXPECT_GT(t.saturatedSteps, t.steps / 10);
+    EXPECT_LT(t.saturatedSteps, t.steps / 2);
+    EXPECT_GT(t.rejected, 0u);
+    EXPECT_GT(t.trips, 0u);
+    std::printf("servo oracle, %s: %zu models, %zu steps, %zu saturated, "
+                "%lu rejected, %lu watchdog trips\n",
+                block, t.models, t.steps, t.saturatedSteps, t.rejected,
+                t.trips);
+}
+
+/** Models of the paper's shape in each case's fixed-shape block. */
+constexpr size_t kPaperShapeModels = 64;
+
 TEST(ServoStepReference, MatchesTheGemvFormBitForBit)
 {
     Rng rng(0x5E7F0);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double inf = std::numeric_limits<double>::infinity();
-    size_t models = 0, steps = 0, saturated_steps = 0;
-    unsigned long rejected = 0, trips = 0;
+    ServoTally random_shapes;
     for (int trial = 0; trial < 240; ++trial) {
         const size_t n = 1 + rng.uniformInt(8);
         const size_t inputs = 1 + rng.uniformInt(3);
         const size_t outputs = 1 + rng.uniformInt(inputs);
-        const StateSpaceModel model = randomModel(rng, n, inputs, outputs);
-        LqgWeights weights;
-        for (size_t i = 0; i < outputs; ++i)
-            weights.outputWeights.push_back(rng.uniform(1.0, 100.0));
-        for (size_t i = 0; i < inputs; ++i)
-            weights.inputWeights.push_back(rng.uniform(10.0, 1000.0));
-        InputLimits limits;
-        for (size_t i = 0; i < inputs; ++i) {
-            const double off = model.inputScaling.offset[i];
-            const double sc = model.inputScaling.scale[i];
-            limits.lo.push_back(off - sc * rng.uniform(1.0, 4.0));
-            limits.hi.push_back(off + sc * rng.uniform(1.0, 4.0));
-        }
-        auto made = LqgServoController::tryMake(model, weights, limits);
-        if (!made.ok())
-            continue;
-        LqgServoController fused = made.take();
-        GemvServo gemv(fused, limits);
-        ++models;
-
-        const unsigned watchdog = trial % 3 == 0 ? 0u : 1u + trial % 5;
-        fused.setSaturationWatchdog(watchdog);
-        gemv.setSaturationWatchdog(watchdog);
-        // The loop is closed on a mismatched copy of the model. Every
-        // third model chases a reference far outside what its limits
-        // reach, so its commands sit on a rail.
-        const double spread = trial % 3 == 1 ? 40.0 : 0.5;
-        StateSpaceModel plant = model;
-        plant.a = model.a * rng.uniform(0.9, 1.05);
-        Matrix u = physicalAround(rng, model.inputScaling, 0.5);
-        for (int phase = 0; phase < 2; ++phase) {
-            const Matrix ref = physicalAround(rng, model.outputScaling, spread);
-            fused.setReference(ref);
-            gemv.setReference(ref);
-            fused.reset(u);
-            gemv.reset(u);
-            Matrix x(n, 1);
-            for (int t = 0; t < 120; ++t) {
-                const Matrix us = plant.inputScaling.toScaled(u);
-                Matrix ys = plant.c * x + plant.d * us;
-                for (size_t i = 0; i < outputs; ++i)
-                    ys[i] += rng.normal(0.0, 0.05);
-                x = plant.a * x + plant.b * us;
-                Matrix meas = plant.outputScaling.toPhysical(ys);
-                if (rng.uniform() < 0.04) {
-                    const double bad[] = {nan, inf, -inf};
-                    meas[rng.uniformInt(outputs)] = bad[rng.uniformInt(3)];
-                }
-                const Matrix &want = gemv.step(meas);
-                const Matrix &got = fused.step(meas);
-                ASSERT_TRUE(bitEqual(got, want))
-                    << "trial " << trial << " phase " << phase
-                    << " step " << t << " (n=" << n << ", " << inputs
-                    << " in, " << outputs << " out)";
-                ASSERT_EQ(bitsOf(fused.lastInnovationNorm()),
-                          bitsOf(gemv.lastInnovationNorm()))
-                    << "trial " << trial << " step " << t;
-                ASSERT_EQ(fused.rejectedMeasurements(),
-                          gemv.rejectedMeasurements());
-                ASSERT_EQ(fused.watchdogTrips(), gemv.watchdogTrips());
-                ++steps;
-                for (size_t i = 0; i < inputs; ++i) {
-                    if (got[i] == limits.lo[i] || got[i] == limits.hi[i]) {
-                        ++saturated_steps;
-                        break;
-                    }
-                }
-                u = got;
-            }
-        }
-        rejected += fused.rejectedMeasurements();
-        trips += fused.watchdogTrips();
+        servoTrial(rng, trial, n, inputs, outputs, random_shapes);
+        ASSERT_FALSE(HasFatalFailure());
     }
-    // The draw must have reached every branch it is meant to check.
-    EXPECT_GE(models, 150u);
-    EXPECT_GT(saturated_steps, steps / 10);
-    EXPECT_LT(saturated_steps, steps / 2);
-    EXPECT_GT(rejected, 100u);
-    EXPECT_GT(trips, 20u);
-    std::printf("servo oracle: %zu models, %zu steps, %zu saturated, "
-                "%lu rejected, %lu watchdog trips\n",
-                models, steps, saturated_steps, rejected, trips);
+    EXPECT_GE(random_shapes.models, 150u);
+    EXPECT_GT(random_shapes.rejected, 100u);
+    EXPECT_GT(random_shapes.trips, 20u);
+    expectEveryServoBranch(random_shapes, "random shapes");
+
+    // The paper's shape, which step() runs at its fixed-shape
+    // instantiation: a block large enough that every branch is reached
+    // inside it, not only in the random draw's few models of it.
+    SCOPED_TRACE("PaperShape block");
+    ServoTally paper;
+    for (int trial = 0; paper.models < kPaperShapeModels; ++trial) {
+        ASSERT_LT(trial, 256) << "too many failed designs";
+        servoTrial(rng, trial, 4, 2, 2, paper);
+        ASSERT_FALSE(HasFatalFailure());
+    }
+    expectEveryServoBranch(paper, "PaperShape");
+}
+
+/** What a block of surrogate models reached. */
+struct SurrogateTally
+{
+    size_t models = 0, steps = 0, floored = 0;
+};
+
+/**
+ * Step a random surrogate of the given shape in lock-step with its
+ * gemv-based form, under inputs spread wide enough that some outputs
+ * land on their floors.
+ */
+void
+surrogateTrial(Rng &rng, int trial, size_t n, size_t inputs,
+               size_t outputs, SurrogateTally &tally)
+{
+    SurrogateModel model;
+    model.appName = "oracle";
+    model.dynamics = randomModel(rng, n, inputs, outputs);
+    for (size_t k = 0; k < outputs; ++k)
+        model.noiseSigma.push_back(
+            rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 0.5));
+    // Floors near the operating point, so some steps hit them.
+    model.ipsFloor = model.dynamics.outputScaling.offset[kOutputIps] -
+        model.dynamics.outputScaling.scale[kOutputIps] *
+            rng.uniform(0.0, 1.0);
+    model.powerFloor = model.dynamics.outputScaling.offset[kOutputPower] -
+        model.dynamics.outputScaling.scale[kOutputPower] *
+            rng.uniform(0.0, 1.0);
+    const uint64_t seed = rng.next();
+    SurrogateDynamics fused(model, seed);
+    GemvSurrogate gemv(model, seed);
+    ++tally.models;
+    for (int t = 0; t < 150; ++t) {
+        const Matrix u =
+            physicalAround(rng, model.dynamics.inputScaling, 3.0);
+        const Matrix &want = gemv.step(u);
+        const Matrix &got = fused.step(u);
+        ASSERT_TRUE(bitEqual(got, want))
+            << "trial " << trial << " step " << t << " (n=" << n << ", "
+            << inputs << " in, " << outputs << " out)";
+        ++tally.steps;
+        if (got[kOutputIps] == model.ipsFloor ||
+            got[kOutputPower] == model.powerFloor)
+            ++tally.floored;
+    }
 }
 
 TEST(SurrogateStepReference, MatchesTheGemvFormBitForBit)
@@ -473,107 +569,106 @@ TEST(SurrogateStepReference, MatchesTheGemvFormBitForBit)
     // The step floors outputs kOutputIps and kOutputPower, so every
     // surrogate has at least two outputs.
     Rng rng(0x5A77);
-    size_t floored = 0, steps = 0;
+    SurrogateTally random_shapes;
     for (int trial = 0; trial < 200; ++trial) {
         const size_t n = 1 + rng.uniformInt(8);
         const size_t inputs = 2 + rng.uniformInt(2);
         const size_t outputs = 2 + rng.uniformInt(inputs - 1);
-        SurrogateModel model;
-        model.appName = "oracle";
-        model.dynamics = randomModel(rng, n, inputs, outputs);
-        for (size_t k = 0; k < outputs; ++k)
-            model.noiseSigma.push_back(
-                rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 0.5));
-        // Floors near the operating point, so some steps hit them.
-        model.ipsFloor = model.dynamics.outputScaling.offset[kOutputIps] -
-            model.dynamics.outputScaling.scale[kOutputIps] *
-                rng.uniform(0.0, 1.0);
-        model.powerFloor =
-            model.dynamics.outputScaling.offset[kOutputPower] -
-            model.dynamics.outputScaling.scale[kOutputPower] *
-                rng.uniform(0.0, 1.0);
-        const uint64_t seed = rng.next();
-        SurrogateDynamics fused(model, seed);
-        GemvSurrogate gemv(model, seed);
-        for (int t = 0; t < 150; ++t) {
-            const Matrix u =
-                physicalAround(rng, model.dynamics.inputScaling, 3.0);
-            const Matrix &want = gemv.step(u);
-            const Matrix &got = fused.step(u);
-            ASSERT_TRUE(bitEqual(got, want))
-                << "trial " << trial << " step " << t << " (n=" << n
-                << ", " << inputs << " in, " << outputs << " out)";
-            ++steps;
-            if (got[kOutputIps] == model.ipsFloor ||
-                got[kOutputPower] == model.powerFloor)
-                ++floored;
-        }
+        surrogateTrial(rng, trial, n, inputs, outputs, random_shapes);
+        ASSERT_FALSE(HasFatalFailure());
     }
-    EXPECT_GT(floored, steps / 20);
-    EXPECT_LT(floored, steps);
+    EXPECT_GT(random_shapes.floored, random_shapes.steps / 20);
+    EXPECT_LT(random_shapes.floored, random_shapes.steps);
+
+    // The paper's shape, stepped at its fixed-shape instantiation.
+    SCOPED_TRACE("PaperShape block");
+    SurrogateTally paper;
+    for (int trial = 0; paper.models < kPaperShapeModels; ++trial) {
+        surrogateTrial(rng, trial, 4, 2, 2, paper);
+        ASSERT_FALSE(HasFatalFailure());
+    }
+    EXPECT_GT(paper.floored, paper.steps / 20);
+    EXPECT_LT(paper.floored, paper.steps);
+}
+
+/**
+ * The analytic tier's loop on a random plant of state dimension @p n
+ * with @p inputs knobs and two outputs: the servo commands the
+ * surrogate and reads its noisy outputs back, both steps fused on one
+ * side and gemv-based on the other. A plant whose servo design fails
+ * is skipped.
+ */
+void
+closedLoopTrial(Rng &rng, int trial, size_t n, size_t inputs,
+                size_t &loops)
+{
+    SurrogateModel plant;
+    plant.appName = "oracle";
+    plant.dynamics = randomModel(rng, n, inputs, 2);
+    plant.noiseSigma = {rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)};
+    LqgWeights weights;
+    weights.outputWeights = {rng.uniform(1.0, 100.0),
+                             rng.uniform(1.0, 100.0)};
+    for (size_t i = 0; i < inputs; ++i)
+        weights.inputWeights.push_back(rng.uniform(1.0, 100.0));
+    InputLimits limits;
+    for (size_t i = 0; i < inputs; ++i) {
+        const double off = plant.dynamics.inputScaling.offset[i];
+        const double sc = plant.dynamics.inputScaling.scale[i];
+        limits.lo.push_back(off - sc * rng.uniform(0.5, 2.0));
+        limits.hi.push_back(off + sc * rng.uniform(0.5, 2.0));
+    }
+    auto made = LqgServoController::tryMake(plant.dynamics, weights, limits);
+    if (!made.ok())
+        return;
+    LqgServoController fused_ctrl = made.take();
+    GemvServo gemv_ctrl(fused_ctrl, limits);
+    const Matrix ref = physicalAround(rng, plant.dynamics.outputScaling, 2.0);
+    Matrix u0(inputs, 1);
+    for (size_t i = 0; i < inputs; ++i)
+        u0[i] = plant.dynamics.inputScaling.offset[i];
+    fused_ctrl.setReference(ref);
+    gemv_ctrl.setReference(ref);
+    fused_ctrl.reset(u0);
+    gemv_ctrl.reset(u0);
+    const uint64_t seed = rng.next();
+    SurrogateDynamics fused_plant(plant, seed);
+    GemvSurrogate gemv_plant(plant, seed);
+    Matrix fused_u = u0, gemv_u = u0;
+    for (int t = 0; t < 300; ++t) {
+        const Matrix &fy = fused_plant.step(fused_u);
+        const Matrix &gy = gemv_plant.step(gemv_u);
+        ASSERT_TRUE(bitEqual(fy, gy)) << "trial " << trial << " step " << t;
+        fused_u = fused_ctrl.step(fy);
+        gemv_u = gemv_ctrl.step(gy);
+        ASSERT_TRUE(bitEqual(fused_u, gemv_u))
+            << "trial " << trial << " step " << t;
+        ASSERT_EQ(bitsOf(fused_ctrl.lastInnovationNorm()),
+                  bitsOf(gemv_ctrl.lastInnovationNorm()));
+    }
+    ASSERT_EQ(fused_ctrl.watchdogTrips(), gemv_ctrl.watchdogTrips());
+    ++loops;
 }
 
 TEST(ServoStepReference, ClosedLoopOnTheSurrogateMatches)
 {
-    // The analytic tier's loop: the servo commands the surrogate and
-    // reads its noisy outputs back, both steps fused on one side and
-    // gemv-based on the other.
     Rng rng(0xC1053D);
     size_t loops = 0;
     for (int trial = 0; trial < 60; ++trial) {
         const size_t n = 1 + rng.uniformInt(8);
         const size_t inputs = 2 + rng.uniformInt(2);
-        SurrogateModel plant;
-        plant.appName = "oracle";
-        plant.dynamics = randomModel(rng, n, inputs, 2);
-        plant.noiseSigma = {rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)};
-        LqgWeights weights;
-        weights.outputWeights = {rng.uniform(1.0, 100.0),
-                                 rng.uniform(1.0, 100.0)};
-        for (size_t i = 0; i < inputs; ++i)
-            weights.inputWeights.push_back(rng.uniform(1.0, 100.0));
-        InputLimits limits;
-        for (size_t i = 0; i < inputs; ++i) {
-            const double off = plant.dynamics.inputScaling.offset[i];
-            const double sc = plant.dynamics.inputScaling.scale[i];
-            limits.lo.push_back(off - sc * rng.uniform(0.5, 2.0));
-            limits.hi.push_back(off + sc * rng.uniform(0.5, 2.0));
-        }
-        auto made =
-            LqgServoController::tryMake(plant.dynamics, weights, limits);
-        if (!made.ok())
-            continue;
-        LqgServoController fused_ctrl = made.take();
-        GemvServo gemv_ctrl(fused_ctrl, limits);
-        const Matrix ref =
-            physicalAround(rng, plant.dynamics.outputScaling, 2.0);
-        Matrix u0(inputs, 1);
-        for (size_t i = 0; i < inputs; ++i)
-            u0[i] = plant.dynamics.inputScaling.offset[i];
-        fused_ctrl.setReference(ref);
-        gemv_ctrl.setReference(ref);
-        fused_ctrl.reset(u0);
-        gemv_ctrl.reset(u0);
-        const uint64_t seed = rng.next();
-        SurrogateDynamics fused_plant(plant, seed);
-        GemvSurrogate gemv_plant(plant, seed);
-        Matrix fused_u = u0, gemv_u = u0;
-        for (int t = 0; t < 300; ++t) {
-            const Matrix &fy = fused_plant.step(fused_u);
-            const Matrix &gy = gemv_plant.step(gemv_u);
-            ASSERT_TRUE(bitEqual(fy, gy)) << "trial " << trial << " step "
-                                          << t;
-            fused_u = fused_ctrl.step(fy);
-            gemv_u = gemv_ctrl.step(gy);
-            ASSERT_TRUE(bitEqual(fused_u, gemv_u))
-                << "trial " << trial << " step " << t;
-            ASSERT_EQ(bitsOf(fused_ctrl.lastInnovationNorm()),
-                      bitsOf(gemv_ctrl.lastInnovationNorm()));
-        }
-        ASSERT_EQ(fused_ctrl.watchdogTrips(), gemv_ctrl.watchdogTrips());
-        ++loops;
+        closedLoopTrial(rng, trial, n, inputs, loops);
+        ASSERT_FALSE(HasFatalFailure());
     }
     EXPECT_GE(loops, 40u);
+    // The paper's shape, both steps at their fixed-shape instantiation.
+    SCOPED_TRACE("PaperShape block");
+    size_t paper_loops = 0;
+    for (int trial = 0; paper_loops < kPaperShapeModels; ++trial) {
+        ASSERT_LT(trial, 256) << "too many failed designs";
+        closedLoopTrial(rng, trial, 4, 2, paper_loops);
+        ASSERT_FALSE(HasFatalFailure());
+    }
 }
 
 } // namespace

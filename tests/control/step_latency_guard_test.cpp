@@ -39,12 +39,13 @@ namespace {
 
 /**
  * Steady-state LQG step may cost at most this many reference-kernel
- * units (measured 0.52-0.60x in RelWithDebInfo on a 4-vCPU VM, since
- * the step builds each element in one pass; headroom covers compiler
- * and libm variation without hiding a hot-loop accident).
+ * units (measured 0.31-0.33x in RelWithDebInfo on a 4-vCPU VM, since
+ * the step builds each element in one pass, compiled at this model's
+ * fixed PaperShape; headroom covers compiler and libm variation
+ * without hiding a hot-loop accident).
  */
 constexpr double kMaxRatioVsReference = 3.0;
-/** Catastrophic-regression backstop (steady state: 61-100 ns in
+/** Catastrophic-regression backstop (steady state: 47-61 ns in
  *  RelWithDebInfo on a 4-vCPU VM). */
 constexpr double kAbsCeilingNs = 2000.0;
 

@@ -127,7 +127,7 @@ TEST(AllocationFree, MimoControllerUpdateMakesZeroAllocations)
 /** Allocations made inside one driver.run() of @p epochs epochs
  *  (construction/setup costs are deliberately outside the window). */
 uint64_t
-harnessRunAllocCount(size_t epochs)
+harnessRunAllocCount(size_t epochs, bool record_trace = false)
 {
     const KnobSpace knobs(false);
     MimoArchController ctrl(dim4Model(), paperWeights(), knobs);
@@ -137,6 +137,7 @@ harnessRunAllocCount(size_t epochs)
     dcfg.epochs = epochs;
     dcfg.warmupEpochs = 50;
     dcfg.errorSkipEpochs = 100;
+    dcfg.recordTrace = record_trace;
     EpochDriver driver(plant, ctrl, dcfg);
     KnobSettings init;
     init.freqLevel = 3;
@@ -151,16 +152,20 @@ harnessRunAllocCount(size_t epochs)
  * experiment at 600 and at 1200 epochs from identical fresh state.
  * Per-run setup (design, controller workspaces, trace reserve,
  * optimizer) costs the same number of allocations in both, so equal
- * totals imply exactly zero allocations per additional epoch.
+ * totals imply exactly zero allocations per additional epoch. Both
+ * trace modes: the two knob series alone and the whole trace.
  */
 TEST(AllocationFree, HarnessEpochIsAllocationFreeInSteadyState)
 {
-    const uint64_t short_run = harnessRunAllocCount(600);
-    const uint64_t long_run = harnessRunAllocCount(1200);
-    EXPECT_EQ(long_run, short_run)
-        << "the extra 600 epochs allocated "
-        << (long_run - short_run) << " times — the epoch loop is not "
-           "allocation-free in steady state";
+    for (const bool record_trace : {false, true}) {
+        SCOPED_TRACE(record_trace ? "recordTrace" : "knob series only");
+        const uint64_t short_run = harnessRunAllocCount(600, record_trace);
+        const uint64_t long_run = harnessRunAllocCount(1200, record_trace);
+        EXPECT_EQ(long_run, short_run)
+            << "the extra 600 epochs allocated "
+            << (long_run - short_run) << " times — the epoch loop is not "
+               "allocation-free in steady state";
+    }
 }
 
 /**

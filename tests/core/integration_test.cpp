@@ -205,6 +205,7 @@ TEST_F(IntegrationFixture, QoeScheduleLowersAchievedIps)
     SimPlant plant(Spec2006Suite::byName("astar"), *knobs_);
     DriverConfig dcfg;
     dcfg.epochs = 2400;
+    dcfg.recordTrace = true;
     EpochDriver driver(plant, *ctrl, dcfg, &battery);
     driver.run(KnobSettings{});
     const EpochTrace &tr = driver.trace();

@@ -116,6 +116,7 @@ runCase(const Case &c)
         exec::makePlant(Spec2006Suite::byName(c.app), knobs, cfg);
     DriverConfig dcfg;
     dcfg.epochs = c.epochs;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 100;
     dcfg.useOptimizer = c.optimizer;
     dcfg.optimizer.metricExponent = 2;

@@ -91,6 +91,7 @@ sweepAt(unsigned workers)
         SimPlant plant(Spec2006Suite::byName(app), knobs);
         DriverConfig dcfg;
         dcfg.epochs = 500;
+        dcfg.recordTrace = true;
         dcfg.errorSkipEpochs = 100;
         EpochDriver driver(plant, *ctrl, dcfg);
         KnobSettings init;

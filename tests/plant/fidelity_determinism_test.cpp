@@ -91,6 +91,7 @@ runJob(const exec::JobContext &ctx, const ExperimentConfig &cfg)
         exec::makePlant(Spec2006Suite::byName(ctx.key.app), knobs, cfg);
     DriverConfig dcfg;
     dcfg.epochs = 1000;
+    dcfg.recordTrace = true;
     dcfg.errorSkipEpochs = 100;
     dcfg.fidelity = cfg.fidelity;
     dcfg.cancel = &ctx.cancel;

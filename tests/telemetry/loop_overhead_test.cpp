@@ -193,6 +193,7 @@ simPlantDigests()
     HoldingController ctrl;
     DriverConfig dcfg;
     dcfg.epochs = kSimEpochs;
+    dcfg.recordTrace = true;
     EpochDriver driver(plant, ctrl, dcfg);
     const RunSummary s = driver.run(KnobSettings{});
     return {digest(s), digest(driver.trace())};
