@@ -62,19 +62,32 @@ EpochDriver::EpochDriver(Plant &plant, ArchController &controller,
 {
     if (config_.epochs == 0)
         fatal("EpochDriver: zero epochs");
+    // Publishing the zeroed metrics registers their names, so later
+    // publishes only look them up.
+    publishMetrics();
+}
+
+EpochDriver::~EpochDriver()
+{
+    if (unpublished_)
+        publishMetrics();
+}
+
+void
+EpochDriver::publishMetrics() const
+{
     telemetry::Registry &reg = telemetry::registry();
     const bool an = config_.fidelity == PlantFidelity::Analytic;
-    tmEpochs_ = &reg.counter(an ? "loop.analytic.epochs" : "loop.epochs");
-    tmKnobMoves_ = &reg.counter(
-        an ? "loop.analytic.knob_moves" : "loop.knob_moves");
-    tmNonfiniteSkips_ = &reg.counter(
-        an ? "loop.analytic.nonfinite_skips" : "loop.nonfinite_skips");
-    tmEpochNs_ = &reg.histogram(
-        an ? "loop.analytic.epoch_ns" : "loop.epoch_ns");
-    tmIpsErrBp_ = &reg.histogram(
-        an ? "loop.analytic.ips_err_bp" : "loop.ips_err_bp");
-    tmPowerErrBp_ = &reg.histogram(
-        an ? "loop.analytic.power_err_bp" : "loop.power_err_bp");
+    reg.add(an ? "loop.analytic.epochs" : "loop.epochs", epoch_);
+    reg.add(an ? "loop.analytic.knob_moves" : "loop.knob_moves",
+            knobMoves_);
+    reg.add(an ? "loop.analytic.nonfinite_skips" : "loop.nonfinite_skips",
+            nonfiniteSkips_);
+    reg.merge(an ? "loop.analytic.epoch_ns" : "loop.epoch_ns", epochNs_);
+    reg.merge(an ? "loop.analytic.ips_err_bp" : "loop.ips_err_bp",
+              ipsErrBp_);
+    reg.merge(an ? "loop.analytic.power_err_bp" : "loop.power_err_bp",
+              powerErrBp_);
 }
 
 namespace {
@@ -167,9 +180,14 @@ EpochDriver::begin(const KnobSettings &initial)
     errPower_ = 0.0;
     errSamples_ = 0;
     nonfiniteSkips_ = 0;
+    knobMoves_ = 0;
     epoch_ = 0;
     lastTrueIps_ = 0.0;
     lastTruePower_ = 0.0;
+    epochNs_ = {};
+    ipsErrBp_ = {};
+    powerErrBp_ = {};
+    unpublished_ = true;
 }
 
 void
@@ -187,12 +205,11 @@ EpochDriver::stepEpoch()
     }
     // The latency and error histograms feed only the --telemetry
     // reports, so they record only while the trace buffer is armed;
-    // a disarmed epoch pays for the counters alone.
+    // a disarmed epoch's Span skips the clock.
     const bool armed = telemetry::trace().enabled();
     telemetry::Span epoch_span("epoch", "loop",
-                               armed ? tmEpochNs_ : nullptr, "epoch",
+                               armed ? &epochNs_ : nullptr, "epoch",
                                static_cast<int64_t>(t));
-    tmEpochs_->add(1);
 
     const Matrix &y = plant_.step(settings_);
 
@@ -213,7 +230,6 @@ EpochDriver::stepEpoch()
                  "silently)");
         }
         ++nonfiniteSkips_;
-        tmNonfiniteSkips_->add(1);
     }
 
     obs_.y = y;
@@ -242,7 +258,7 @@ EpochDriver::stepEpoch()
         const KnobSettings previous = settings_;
         settings_ = controller_.update(obs_);
         if (!(settings_ == previous))
-            tmKnobMoves_->add(1);
+            ++knobMoves_;
     }
 
     // Tracking-error accounting against the *current* references,
@@ -256,9 +272,8 @@ EpochDriver::stepEpoch()
         std::tie(ref_ips, ref_power) = controller_.reference();
     }
     if (armed && ref_ips > 0 && ref_power > 0) {
-        tmIpsErrBp_->record(
-            relErrorBasisPoints(y_true[kOutputIps], ref_ips));
-        tmPowerErrBp_->record(
+        ipsErrBp_.record(relErrorBasisPoints(y_true[kOutputIps], ref_ips));
+        powerErrBp_.record(
             relErrorBasisPoints(y_true[kOutputPower], ref_power));
     }
     if (t >= config_.errorSkipEpochs && ref_ips > 0 &&
@@ -308,6 +323,8 @@ EpochDriver::finish()
     opt_.reset();
     phases_.reset();
     runSpan_.reset();
+    publishMetrics();
+    unpublished_ = false;
     return s;
 }
 

@@ -117,7 +117,7 @@ struct DriverConfig
 
     /**
      * Which plant tier this driver is closing the loop around. Purely
-     * a telemetry tag: analytic-tier drivers register their loop
+     * a telemetry tag: analytic-tier drivers publish their loop
      * metrics under "loop.analytic.*" so a mixed-fidelity process does
      * not fold 100x-cheaper surrogate epochs into the cycle-level
      * latency histograms (and cycle-level exporter output stays
@@ -169,6 +169,13 @@ class EpochDriver
                 const DriverConfig &config,
                 QoeBatteryModel *qoe = nullptr);
 
+    /** Publishes the loop metrics of a run that began but never
+     *  reached finish() (one that unwound, e.g. with CanceledError). */
+    ~EpochDriver();
+
+    EpochDriver(const EpochDriver &) = delete;
+    EpochDriver &operator=(const EpochDriver &) = delete;
+
     /** Run the configured number of epochs from @p initial settings. */
     RunSummary run(const KnobSettings &initial);
 
@@ -208,6 +215,9 @@ class EpochDriver
     static long steadyEpoch(const std::vector<unsigned> &values,
                             unsigned tolerance);
 
+    /** Add this run's loop metrics to the registry. */
+    void publishMetrics() const;
+
     Plant &plant_;
     ArchController &controller_;
     DriverConfig config_;
@@ -225,19 +235,19 @@ class EpochDriver
     double errIps_ = 0.0, errPower_ = 0.0;
     size_t errSamples_ = 0;
     unsigned long nonfiniteSkips_ = 0;
+    unsigned long knobMoves_ = 0;
     size_t epoch_ = 0;
     double lastTrueIps_ = 0.0, lastTruePower_ = 0.0;
 
-    // Loop telemetry (see src/telemetry). Registered once at
-    // construction; recording in the epoch loop is a few relaxed
-    // atomics. The three histograms record only while the trace
-    // buffer is armed (stepEpoch).
-    telemetry::Counter *tmEpochs_;
-    telemetry::Counter *tmKnobMoves_;
-    telemetry::Counter *tmNonfiniteSkips_;
-    telemetry::Histogram *tmEpochNs_;
-    telemetry::Histogram *tmIpsErrBp_;
-    telemetry::Histogram *tmPowerErrBp_;
+    // Loop metrics (see src/telemetry): the counts above and these
+    // histograms, which record only while the trace buffer is armed.
+    // finish() publishes them, or the destructor for a run that
+    // unwound (unpublished_), so the epoch loop writes no shared
+    // memory.
+    bool unpublished_ = false;
+    telemetry::Histogram epochNs_;
+    telemetry::Histogram ipsErrBp_;
+    telemetry::Histogram powerErrBp_;
 };
 
 } // namespace mimoarch

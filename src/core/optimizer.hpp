@@ -68,9 +68,6 @@ class Optimizer
     /** Per-epoch hook. */
     void observe(const Matrix &y);
 
-    /** Best metric value seen in the last search. */
-    double bestMetric() const { return bestMetric_; }
-
     /** Number of completed trials in the current/last search. */
     unsigned trials() const { return trials_; }
 

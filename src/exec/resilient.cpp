@@ -73,14 +73,8 @@ class Engine
             journal_ = std::make_unique<SweepJournal>(policy_.resumePath,
                                                       fingerprint);
         }
-        telemetry::Registry &reg = telemetry::registry();
-        tmRetries_ = &reg.counter("exec.job_retries");
-        tmTimeouts_ = &reg.counter("exec.job_timeouts");
-        tmFailures_ = &reg.counter("exec.job_failures");
-        tmResumed_ = &reg.counter("exec.jobs_resumed");
-        tmChaos_ = &reg.counter("exec.chaos_injections");
-        tmTasks_ = &reg.counter("exec.tasks");
-        tmTaskNs_ = &reg.histogram("exec.task_ns");
+        // Publishing the empty report registers the exec.* names.
+        publishMetrics(SweepReport{});
     }
 
     SweepReport
@@ -118,7 +112,6 @@ class Engine
                 ++resumed_;
                 ++completed_;
                 ++resolved_;
-                tmResumed_->add(1);
                 telemetry::TraceBuffer &tb = telemetry::trace();
                 if (tb.enabled())
                     tb.instant("job-resumed", "sweep", telemetry::nowNs(),
@@ -167,17 +160,15 @@ class Engine
 
         const ChaosAction act =
             chaos_.sample(jobSeed(jobs_[i].key), attempt);
-        if (act != ChaosAction::None) {
+        if (act != ChaosAction::None)
             chaosInjections_.fetch_add(1, std::memory_order_relaxed);
-            tmChaos_->add(1);
-        }
 
         bool failed = false;
         FailureCause cause = FailureCause::Exception;
         std::string message;
-        tmTasks_->add(1);
+        telemetry::Histogram attempt_ns;
         try {
-            telemetry::Span span("job", "sweep", tmTaskNs_, "job",
+            telemetry::Span span("job", "sweep", &attempt_ns, "job",
                                  static_cast<int64_t>(i));
             if (act == ChaosAction::Throw)
                 throw ChaosError("chaos: injected exception");
@@ -209,6 +200,10 @@ class Engine
             message = "non-exception throw";
         }
 
+        {
+            std::lock_guard<std::mutex> lk(stateMutex_);
+            taskNs_.merge(attempt_ns);
+        }
         if (failed && cause == FailureCause::Canceled && token.expired())
             cause = FailureCause::Timeout;
 
@@ -219,7 +214,6 @@ class Engine
 
         if (cause == FailureCause::Timeout) {
             timeouts_.fetch_add(1, std::memory_order_relaxed);
-            tmTimeouts_->add(1);
             telemetry::TraceBuffer &tb = telemetry::trace();
             if (tb.enabled())
                 tb.instant("job-timeout", "sweep", telemetry::nowNs(),
@@ -231,7 +225,6 @@ class Engine
                            !abort_.canceled();
         if (retry) {
             retries_.fetch_add(1, std::memory_order_relaxed);
-            tmRetries_->add(1);
             telemetry::TraceBuffer &tb = telemetry::trace();
             if (tb.enabled())
                 tb.instant("job-retry", "sweep", telemetry::nowNs(),
@@ -263,7 +256,6 @@ class Engine
     finishFailure(size_t i, unsigned attempts, FailureCause cause,
                   std::string message)
     {
-        tmFailures_->add(1);
         telemetry::TraceBuffer &tb = telemetry::trace();
         if (tb.enabled())
             tb.instant("job-failed", "sweep", telemetry::nowNs(), "job",
@@ -351,6 +343,7 @@ class Engine
                       return a.index < b.index;
                   });
 
+        publishMetrics(report);
         writeFailureReport(report);
 
         const bool aborted = abort_.canceled();
@@ -390,6 +383,21 @@ class Engine
             what += "]";
         }
         throw SweepError(what, std::move(report.failures));
+    }
+
+    /** Add @p report's counts and the attempts to the exec.* metrics. */
+    void
+    publishMetrics(const SweepReport &report) const
+    {
+        telemetry::Registry &reg = telemetry::registry();
+        reg.add("exec.job_retries", report.retries);
+        reg.add("exec.job_timeouts", report.timeouts);
+        reg.add("exec.job_failures", report.failures.size());
+        reg.add("exec.jobs_resumed", report.resumedFromJournal);
+        reg.add("exec.chaos_injections", report.chaosInjections);
+        // Every attempt run records one sample.
+        reg.add("exec.tasks", taskNs_.count);
+        reg.merge("exec.task_ns", taskNs_);
     }
 
     void
@@ -461,14 +469,7 @@ class Engine
     std::atomic<uint64_t> retries_{0};
     std::atomic<uint64_t> timeouts_{0};
     std::atomic<uint64_t> chaosInjections_{0};
-
-    telemetry::Counter *tmRetries_;
-    telemetry::Counter *tmTimeouts_;
-    telemetry::Counter *tmFailures_;
-    telemetry::Counter *tmResumed_;
-    telemetry::Counter *tmChaos_;
-    telemetry::Counter *tmTasks_;    //!< Job attempts run.
-    telemetry::Histogram *tmTaskNs_; //!< Wall time per attempt.
+    telemetry::Histogram taskNs_; //!< Per attempt run; stateMutex_.
 };
 
 } // namespace

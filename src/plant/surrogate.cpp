@@ -296,11 +296,4 @@ SurrogatePlant::step(const KnobSettings &settings)
     return y;
 }
 
-void
-SurrogatePlant::warmup(size_t epochs)
-{
-    for (size_t i = 0; i < epochs; ++i)
-        step(current_);
-}
-
 } // namespace mimoarch

@@ -156,9 +156,6 @@ class SurrogatePlant : public Plant
     const Matrix &step(const KnobSettings &settings) override;
     KnobSettings currentSettings() const override { return current_; }
 
-    /** Parity with SimPlant::warmup: epochs at the current settings. */
-    void warmup(size_t epochs);
-
     /**
      * Chip partitioning on the analytic tier is an approximation: the
      * surrogate has no cache to mask, so the partition caps the

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace mimoarch {
 
@@ -189,11 +190,24 @@ SupervisedController::SupervisedController(
     if (!primary_ || !fallback_)
         fatal("SupervisedController: need a primary and a fallback");
     last_ = safe_;
+    // Publishing the zero counts registers their names, so later
+    // publishes only look them up.
+    publishMetrics();
+}
+
+SupervisedController::~SupervisedController()
+{
+    publishMetrics();
+}
+
+void
+SupervisedController::publishMetrics() const
+{
     telemetry::Registry &reg = telemetry::registry();
-    tmResets_ = &reg.counter("supervisor.estimator_resets");
-    tmFallbacks_ = &reg.counter("supervisor.fallback_entries");
-    tmSafePins_ = &reg.counter("supervisor.safe_pins");
-    tmPromotions_ = &reg.counter("supervisor.promotions");
+    reg.add("supervisor.estimator_resets", supervisor_.estimatorResets());
+    reg.add("supervisor.fallback_entries", supervisor_.fallbackEntries());
+    reg.add("supervisor.safe_pins", supervisor_.safePins());
+    reg.add("supervisor.promotions", supervisor_.repromotions());
 }
 
 void
@@ -215,6 +229,7 @@ SupervisedController::initialize(const KnobSettings &initial)
     primary_->initialize(initial);
     fallback_->initialize(initial);
     sanitizer_.reset();
+    publishMetrics(); // the counts of the run before; reset() zeroes them
     supervisor_.reset();
     last_ = initial;
     lastTier_ = 0;
@@ -264,46 +279,31 @@ SupervisedController::update(const Observation &obs)
 
     const SupervisorDecision d = supervisor_.evaluate(sig);
 
-    // Ladder telemetry: every transition is a counter bump and — when
-    // the trace buffer is armed — an Instant event carrying the tier
-    // the ladder landed on.
-    {
+    // Every transition is an Instant trace event, when the buffer is
+    // armed, carrying the tier the ladder landed on; LoopSupervisor
+    // counts them.
+    const auto mark = [tier = static_cast<int64_t>(d.tier)](
+                          const char *event) {
         telemetry::TraceBuffer &tb = telemetry::trace();
-        const unsigned tier_now = static_cast<unsigned>(d.tier);
-        if (d.resetEstimator) {
-            tmResets_->add(1);
-            if (tb.enabled())
-                tb.instant("estimator-reset", "supervisor",
-                           telemetry::nowNs(), "tier",
-                           static_cast<int64_t>(tier_now));
-        }
-        if (d.enteredFallback) {
-            tmFallbacks_->add(1);
-            if (tb.enabled())
-                tb.instant("fallback", "supervisor", telemetry::nowNs(),
-                           "tier", static_cast<int64_t>(tier_now));
-        }
-        if (d.tier == DegradationTier::SafePin &&
-            lastTier_ != static_cast<unsigned>(DegradationTier::SafePin)) {
-            tmSafePins_->add(1);
-            if (tb.enabled())
-                tb.instant("safe-pin", "supervisor", telemetry::nowNs(),
-                           "tier", static_cast<int64_t>(tier_now));
-        }
-        if (d.promoted) {
-            tmPromotions_->add(1);
-            if (tb.enabled())
-                tb.instant("promoted", "supervisor", telemetry::nowNs(),
-                           "tier", static_cast<int64_t>(tier_now));
-        }
-        lastTier_ = tier_now;
-    }
+        if (tb.enabled())
+            tb.instant(event, "supervisor", telemetry::nowNs(), "tier",
+                       tier);
+    };
+    if (d.enteredFallback)
+        mark("fallback");
+    if (d.tier == DegradationTier::SafePin &&
+        lastTier_ != static_cast<unsigned>(DegradationTier::SafePin))
+        mark("safe-pin");
+    if (d.promoted)
+        mark("promoted");
+    lastTier_ = static_cast<unsigned>(d.tier);
 
     if (d.promoted && d.tier == DegradationTier::Nominal) {
         // Back from fallback: restart the servo from the settings the
         // fallback actually left the hardware in.
         primary_->initialize(last_);
     } else if (d.resetEstimator) {
+        mark("estimator-reset");
         primary_->resetEstimator();
     }
     if (d.enteredFallback)

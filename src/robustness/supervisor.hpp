@@ -31,7 +31,6 @@
 
 #include "core/controllers.hpp"
 #include "robustness/sanitizer.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace mimoarch {
 
@@ -151,6 +150,9 @@ class SupervisedController : public ArchController
                          const SensorSanitizerConfig &sanitizer_config,
                          const LoopSupervisorConfig &supervisor_config = {});
 
+    /** Publishes the ladder counts of the last run. */
+    ~SupervisedController() override;
+
     KnobSettings update(const Observation &obs) override;
     void setReference(double ips0, double power0) override;
     std::pair<double, double> reference() const override;
@@ -163,6 +165,10 @@ class SupervisedController : public ArchController
     const LoopSupervisor &supervisor() const { return supervisor_; }
 
   private:
+    /** Add the supervisor's ladder counts to the registry's
+     *  supervisor.* counters. */
+    void publishMetrics() const;
+
     std::unique_ptr<MimoArchController> primary_;
     std::unique_ptr<ArchController> fallback_;
     KnobSettings safe_;
@@ -171,13 +177,6 @@ class SupervisedController : public ArchController
     KnobSettings last_;
     Observation cleanObs_; //!< Reused sanitized view (no per-epoch alloc).
 
-    // Ladder telemetry: tier transitions become counters plus Instant
-    // trace events, so a Chrome trace of a faulted run shows exactly
-    // when the loop degraded and recovered.
-    telemetry::Counter *tmResets_;
-    telemetry::Counter *tmFallbacks_;
-    telemetry::Counter *tmSafePins_;
-    telemetry::Counter *tmPromotions_;
     unsigned lastTier_ = 0; //!< For edge detection (SafePin entry).
 };
 

@@ -88,8 +88,6 @@ class Cache
     uint64_t setEnabledWayMask(uint32_t mask);
 
     uint32_t enabledWays() const { return enabledWays_; }
-    uint32_t enabledWayMask() const { return wayMask_; }
-    uint32_t configuredWays() const { return config_.ways; }
 
     /** Effective capacity given the enabled ways. */
     uint32_t

@@ -133,21 +133,22 @@ renderMetricsJson(const Registry &reg)
 {
     std::string out;
     out += "{\n\"schema\": 2,\n\"counters\": {";
-    const auto counters = reg.counters();
-    for (size_t i = 0; i < counters.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
+    const char *sep = "\n";
+    for (const auto &[name, value] : reg.counters()) {
+        out += sep;
+        sep = ",\n";
         out += "\"";
-        appendEscaped(out, counters[i].first);
+        appendEscaped(out, name);
         out += "\": ";
-        appendU64(out, counters[i].second);
+        appendU64(out, value);
     }
     out += "\n},\n\"histograms\": {";
-    const auto histograms = reg.histograms();
-    for (size_t i = 0; i < histograms.size(); ++i) {
-        const HistogramSnapshot &h = histograms[i].second;
-        out += i == 0 ? "\n" : ",\n";
+    sep = "\n";
+    for (const auto &[name, h] : reg.histograms()) {
+        out += sep;
+        sep = ",\n";
         out += "\"";
-        appendEscaped(out, histograms[i].first);
+        appendEscaped(out, name);
         out += "\": {\"count\":";
         appendU64(out, h.count);
         out += ",\"sum\":";
@@ -164,7 +165,7 @@ renderMetricsJson(const Registry &reg)
         appendU64(out, h.quantile(0.99));
         out += ",\"buckets\":{";
         bool first = true;
-        for (size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
+        for (size_t b = 0; b < Histogram::kBuckets; ++b) {
             if (h.buckets[b] == 0)
                 continue;
             if (!first)

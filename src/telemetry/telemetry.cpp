@@ -32,8 +32,19 @@ threadId()
 
 // ----------------------------------------------------------- metrics
 
+void
+Histogram::merge(const Histogram &other)
+{
+    count += other.count;
+    sum += other.sum;
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+    for (size_t i = 0; i < kBuckets; ++i)
+        buckets[i] += other.buckets[i];
+}
+
 uint64_t
-HistogramSnapshot::quantile(double q) const
+Histogram::quantile(double q) const
 {
     if (count == 0)
         return 0;
@@ -54,95 +65,50 @@ HistogramSnapshot::quantile(double q) const
     return max;
 }
 
-HistogramSnapshot
-Histogram::snapshot() const
+// ---------------------------------------------------------- registry
+
+namespace {
+
+/** @p map's entry for @p name, created on first use. */
+template <typename Map>
+typename Map::mapped_type &
+entry(Map &map, std::string_view name)
 {
-    HistogramSnapshot s;
-    for (const Shard &shard : shards_) {
-        s.count += shard.count.load(std::memory_order_relaxed);
-        s.sum += shard.sum.load(std::memory_order_relaxed);
-        for (size_t i = 0; i < HistogramSnapshot::kBuckets; ++i)
-            s.buckets[i] +=
-                shard.buckets[i].load(std::memory_order_relaxed);
-    }
-    s.min = min_.load(std::memory_order_relaxed);
-    s.max = max_.load(std::memory_order_relaxed);
-    return s;
+    const auto it = map.find(name);
+    if (it != map.end())
+        return it->second;
+    return map.emplace(std::string(name), typename Map::mapped_type{})
+        .first->second;
+}
+
+} // namespace
+
+void
+Registry::add(std::string_view name, uint64_t n)
+{
+    std::lock_guard<std::mutex> lk(mutex_);
+    entry(counters_, name) += n;
 }
 
 void
-Histogram::reset()
-{
-    for (Shard &shard : shards_) {
-        for (auto &b : shard.buckets)
-            b.store(0, std::memory_order_relaxed);
-        shard.count.store(0, std::memory_order_relaxed);
-        shard.sum.store(0, std::memory_order_relaxed);
-    }
-    min_.store(UINT64_MAX, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------- registry
-
-template <typename T>
-T &
-Registry::find(std::vector<Entry<T>> &entries, const std::string &name)
-{
-    for (Entry<T> &e : entries)
-        if (e.name == name)
-            return *e.metric;
-    entries.push_back(Entry<T>{name, std::make_unique<T>()});
-    return *entries.back().metric;
-}
-
-Counter &
-Registry::counter(const std::string &name)
+Registry::merge(std::string_view name, const Histogram &histogram)
 {
     std::lock_guard<std::mutex> lk(mutex_);
-    return find(counters_, name);
+    entry(histograms_, name).merge(histogram);
 }
 
-Histogram &
-Registry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return find(histograms_, name);
-}
-
-std::vector<std::pair<std::string, uint64_t>>
+Registry::Counters
 Registry::counters() const
 {
     std::lock_guard<std::mutex> lk(mutex_);
-    std::vector<std::pair<std::string, uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto &e : counters_)
-        out.emplace_back(e.name, e.metric->value());
-    std::sort(out.begin(), out.end());
-    return out;
+    return counters_;
 }
 
-std::vector<std::pair<std::string, HistogramSnapshot>>
+Registry::Histograms
 Registry::histograms() const
 {
     std::lock_guard<std::mutex> lk(mutex_);
-    std::vector<std::pair<std::string, HistogramSnapshot>> out;
-    out.reserve(histograms_.size());
-    for (const auto &e : histograms_)
-        out.emplace_back(e.name, e.metric->snapshot());
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    return out;
-}
-
-void
-Registry::reset()
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    for (auto &e : counters_)
-        e.metric->reset();
-    for (auto &e : histograms_)
-        e.metric->reset();
+    return histograms_;
 }
 
 Registry &

@@ -5,19 +5,20 @@
  *
  * Design constraints (see DESIGN.md §10):
  *
- *   - Allocation-free in steady state. Registering a metric allocates
- *     (setup phase, under a mutex); *recording* into one is a handful
- *     of relaxed atomic operations on preallocated storage. The trace
- *     buffer reserves its slots once at start() and fills them as
- *     events are recorded; a full buffer drops events and counts the
- *     drops instead of growing.
- *   - Thread-safe writes. Sweep workers hammer the same counters and
- *     histograms concurrently; every write path is lock-free.
- *   - Cheap when disarmed. Counters always count, but a Span with no
- *     latency histogram skips the clock while the trace buffer is
- *     disarmed, and the epoch loop feeds its per-epoch histograms
- *     only while the buffer is armed (the --telemetry runs that
- *     export them).
+ *   - Metrics are plain values with one owner. A component counts in
+ *     its own fields and publishes the totals to the registry once per
+ *     run, sweep or object lifetime, never once per epoch, so the
+ *     epoch loop writes no memory another thread writes.
+ *   - Allocation-free in steady state. A component publishes zeros
+ *     when it is constructed, which registers its names (that
+ *     allocates); its later publishes only look the names up. The
+ *     trace buffer reserves its slots once at start() and fills them
+ *     as events are recorded; a full buffer drops events and counts
+ *     the drops instead of growing.
+ *   - Cheap when disarmed. A Span with no latency histogram skips the
+ *     clock while the trace buffer is disarmed, and the epoch loop
+ *     feeds its per-epoch histograms only while the buffer is armed
+ *     (the --telemetry runs that export them).
  *   - Off the numeric path. Telemetry only *observes*: no clock
  *     reading or metric value ever feeds back into the controller, so
  *     golden digests and sweep checksums are identical with the trace
@@ -26,14 +27,17 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace mimoarch::telemetry {
 
@@ -46,53 +50,11 @@ uint32_t threadId();
 // ----------------------------------------------------------- metrics
 
 /**
- * Write-path shard count for the hot metrics. Writers hash their dense
- * threadId() into one of kMetricShards cache-line-isolated slots, so
- * sweep workers hammering the same counter or histogram never ping the
- * same line back and forth; readers sum the slots, which is exact
- * (addition commutes) and only runs at snapshot/export time. A power
- * of two so the slot pick is a mask, not a division.
+ * Fixed-bucket log-scale histogram of non-negative integer samples
+ * (latencies in ns, error magnitudes in basis points). A plain value:
+ * its owner records into it and publishes it with Registry::merge.
  */
-constexpr size_t kMetricShards = 8;
-
-/** Monotonic event count. Lock-free, write-contended freely: each
- *  thread lands on its own padded slot (see kMetricShards). */
-class Counter
-{
-  public:
-    void
-    add(uint64_t n = 1)
-    {
-        slots_[threadId() & (kMetricShards - 1)].v.fetch_add(
-            n, std::memory_order_relaxed);
-    }
-
-    uint64_t
-    value() const
-    {
-        uint64_t total = 0;
-        for (const Slot &s : slots_)
-            total += s.v.load(std::memory_order_relaxed);
-        return total;
-    }
-
-    void
-    reset()
-    {
-        for (Slot &s : slots_)
-            s.v.store(0, std::memory_order_relaxed);
-    }
-
-  private:
-    struct alignas(64) Slot
-    {
-        std::atomic<uint64_t> v{0};
-    };
-    Slot slots_[kMetricShards];
-};
-
-/** Copy of a histogram's state, for quantiles and export. */
-struct HistogramSnapshot
+struct Histogram
 {
     /**
      * Bucket i counts values whose bit width is i: bucket 0 holds
@@ -106,6 +68,20 @@ struct HistogramSnapshot
     uint64_t min = UINT64_MAX; //!< UINT64_MAX when empty.
     uint64_t max = 0;
     uint64_t buckets[kBuckets] = {};
+
+    void
+    record(uint64_t v)
+    {
+        ++buckets[bucketOf(v)];
+        ++count;
+        sum += v;
+        min = std::min(min, v);
+        max = std::max(max, v);
+    }
+
+    /** Add @p other's samples: counts, sums and buckets add, and the
+     *  extremes widen. */
+    void merge(const Histogram &other);
 
     /** Bucket index for @p v (== std::bit_width). */
     static size_t
@@ -131,108 +107,35 @@ struct HistogramSnapshot
     uint64_t quantile(double q) const;
 };
 
-/**
- * Fixed-bucket log-scale histogram of non-negative integer samples
- * (latencies in ns, error magnitudes in basis points, queue depths).
- * record() is a few relaxed atomics on the caller's own shard (see
- * kMetricShards) — no locks, no allocation, no cross-thread line
- * sharing. min/max stay global CAS slots: after the first few samples
- * they only write on a new extreme, so they see almost no traffic.
- * snapshot() sums the shards, which is exact bucket-wise addition —
- * identical output to the old single-shard layout.
- */
-class Histogram
-{
-  public:
-    void
-    record(uint64_t v)
-    {
-        Shard &s = shards_[threadId() & (kMetricShards - 1)];
-        s.buckets[HistogramSnapshot::bucketOf(v)].fetch_add(
-            1, std::memory_order_relaxed);
-        s.count.fetch_add(1, std::memory_order_relaxed);
-        s.sum.fetch_add(v, std::memory_order_relaxed);
-        atomicMin(min_, v);
-        atomicMax(max_, v);
-    }
-
-    HistogramSnapshot snapshot() const;
-    void reset();
-
-  private:
-    struct alignas(64) Shard
-    {
-        std::atomic<uint64_t> count{0};
-        std::atomic<uint64_t> sum{0};
-        std::atomic<uint64_t> buckets[HistogramSnapshot::kBuckets] = {};
-    };
-
-    static void
-    atomicMin(std::atomic<uint64_t> &slot, uint64_t v)
-    {
-        uint64_t cur = slot.load(std::memory_order_relaxed);
-        while (v < cur &&
-               !slot.compare_exchange_weak(cur, v,
-                                           std::memory_order_relaxed)) {
-        }
-    }
-
-    static void
-    atomicMax(std::atomic<uint64_t> &slot, uint64_t v)
-    {
-        uint64_t cur = slot.load(std::memory_order_relaxed);
-        while (v > cur &&
-               !slot.compare_exchange_weak(cur, v,
-                                           std::memory_order_relaxed)) {
-        }
-    }
-
-    Shard shards_[kMetricShards];
-    alignas(64) std::atomic<uint64_t> min_{UINT64_MAX};
-    std::atomic<uint64_t> max_{0};
-};
-
 // ---------------------------------------------------------- registry
 
 /**
- * Named metric store. Registration (counter/histogram) is
- * mutex-guarded, idempotent by name, and may allocate — do it once at
- * component construction and keep the returned reference, which stays
- * valid for the registry's lifetime. Reads for export are snapshots
- * taken under the same mutex.
+ * Named metric totals. Owners publish into it: add() sums a count into
+ * a counter, merge() a histogram into a histogram, each creating the
+ * name on first use (which allocates) and otherwise only looking it
+ * up. Both take the registry's mutex, as do the copies the exporters
+ * read.
  */
 class Registry
 {
   public:
-    Counter &counter(const std::string &name);
-    Histogram &histogram(const std::string &name);
+    using Counters = std::map<std::string, uint64_t, std::less<>>;
+    using Histograms = std::map<std::string, Histogram, std::less<>>;
 
-    /** Name-sorted snapshots for the exporters. */
-    std::vector<std::pair<std::string, uint64_t>> counters() const;
-    std::vector<std::pair<std::string, HistogramSnapshot>>
-    histograms() const;
+    void add(std::string_view name, uint64_t n);
+    void merge(std::string_view name, const Histogram &histogram);
 
-    /** Zero every metric's value; registrations are kept. */
-    void reset();
+    /** Name-sorted copies for the exporters. */
+    Counters counters() const;
+    Histograms histograms() const;
 
   private:
-    template <typename T>
-    struct Entry
-    {
-        std::string name;
-        std::unique_ptr<T> metric; //!< unique_ptr: stable addresses.
-    };
-
-    template <typename T>
-    static T &find(std::vector<Entry<T>> &entries,
-                   const std::string &name);
-
     mutable std::mutex mutex_;
-    std::vector<Entry<Counter>> counters_;
-    std::vector<Entry<Histogram>> histograms_;
+    Counters counters_;
+    Histograms histograms_;
 };
 
-/** The process-wide registry every instrumented component records to. */
+/** The process-wide registry every instrumented component publishes to. */
 Registry &registry();
 
 // ------------------------------------------------------------- trace
@@ -345,9 +248,10 @@ TraceBuffer &trace();
 
 /**
  * RAII stage timer: measures construction-to-destruction, records the
- * duration into an optional histogram, and emits a Complete trace
- * event when the global trace buffer is armed. When neither sink is
- * active the constructor skips the clock read entirely.
+ * duration into an optional histogram its caller owns, and emits a
+ * Complete trace event when the global trace buffer is armed. When
+ * neither sink is active the constructor skips the clock read
+ * entirely.
  */
 class Span
 {

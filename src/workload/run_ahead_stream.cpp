@@ -6,33 +6,13 @@
 
 namespace mimoarch {
 
-namespace {
-
-/** The consumer side's counters: no call per op touches them. */
-struct StreamCounters
-{
-    telemetry::Counter &waits =
-        telemetry::registry().counter("stream.waits");
-    telemetry::Counter &waitNs =
-        telemetry::registry().counter("stream.wait_ns");
-    telemetry::Counter &rewinds =
-        telemetry::registry().counter("stream.rewinds");
-};
-
-StreamCounters &
-counters()
-{
-    static StreamCounters c;
-    return c;
-}
-
-} // namespace
-
 RunAheadStream::RunAheadStream(const AppSpec &spec, uint64_t seed_salt)
     : ring_(std::make_unique<Chunk[]>(kChunks)), gen_(spec, seed_salt)
 {
     ticksToRewind_ = gen_.epochsLeftInPhase();
-    counters();
+    // Publishing the zero counts registers their names, so the
+    // destructor's publish only looks them up.
+    publishMetrics();
     try {
         if (failSpawn_)
             throw std::system_error(std::make_error_code(
@@ -45,6 +25,7 @@ RunAheadStream::RunAheadStream(const AppSpec &spec, uint64_t seed_salt)
 
 RunAheadStream::~RunAheadStream()
 {
+    publishMetrics();
     if (!producer_.joinable())
         return;
     // Wakes the producer from any wait; it stops at its next check,
@@ -52,6 +33,15 @@ RunAheadStream::~RunAheadStream()
     state_.store(kStop);
     state_.notify_one();
     producer_.join();
+}
+
+void
+RunAheadStream::publishMetrics() const
+{
+    telemetry::Registry &reg = telemetry::registry();
+    reg.add("stream.waits", waits_);
+    reg.add("stream.wait_ns", waitNs_);
+    reg.add("stream.rewinds", rewinds_);
 }
 
 void
@@ -85,9 +75,8 @@ RunAheadStream::takeChunk()
         const uint64_t t0 = telemetry::nowNs();
         while (head_.load(std::memory_order_acquire) == taken_)
             head_.wait(taken_, std::memory_order_acquire);
-        StreamCounters &c = counters();
-        c.waits.add();
-        c.waitNs.add(telemetry::nowNs() - t0);
+        ++waits_;
+        waitNs_ += telemetry::nowNs() - t0;
     }
     ops_ = ring_[taken_ % kChunks].ops;
     pos_ = 0;
@@ -126,7 +115,7 @@ RunAheadStream::rewind()
     head_.store(0, std::memory_order_relaxed);
     tail_.store(0, std::memory_order_relaxed);
     resume();
-    counters().rewinds.add();
+    ++rewinds_;
 }
 
 void

@@ -35,6 +35,10 @@ namespace mimoarch {
  * The thread lives exactly as long as the object; the destructor stops
  * and joins it. When no thread can be spawned, next() fills the same
  * chunks itself.
+ *
+ * The core's side counts its waits on an empty ring, the time in them
+ * and its rewinds, and the destructor publishes the totals to the
+ * registry's stream.* counters.
  */
 class RunAheadStream final : public InstructionSource
 {
@@ -85,6 +89,7 @@ class RunAheadStream final : public InstructionSource
     };
 
     void takeChunk();
+    void publishMetrics() const;
     void fill(Chunk &chunk);
     void rewind();
     void park();
@@ -98,6 +103,9 @@ class RunAheadStream final : public InstructionSource
     uint64_t heldTicks_ = 0;     //!< nextEpoch() calls gen_ has not seen.
     uint64_t ticksToRewind_ = 0; //!< heldTicks_ that enter a new phase.
     size_t phase_ = 0;
+    uint64_t waits_ = 0;   //!< takeChunk() found the ring empty.
+    uint64_t waitNs_ = 0;  //!< Time in those waits.
+    uint64_t rewinds_ = 0; //!< Phase-boundary rewinds.
     std::unique_ptr<Chunk[]> ring_;
 
     // Shared, one cache line each. Chunk i lives in ring_[i % kChunks].

@@ -17,6 +17,7 @@
 #include "core/harness.hpp"
 #include "robustness/fault_plant.hpp"
 #include "robustness/supervisor.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/spec_suite.hpp"
 
 namespace mimoarch {
@@ -239,8 +240,29 @@ TEST(SupervisedController, SafePinRunsAreBitwiseDeterministic)
     EXPECT_EQ(first, second);
 }
 
+/** The registry's supervisor.* counters this test reads. */
+struct LadderCounters
+{
+    uint64_t estimatorResets = 0;
+    uint64_t promotions = 0;
+};
+
+LadderCounters
+ladderCounters()
+{
+    LadderCounters c;
+    for (const auto &[name, value] : telemetry::registry().counters()) {
+        if (name == "supervisor.estimator_resets")
+            c.estimatorResets = value;
+        else if (name == "supervisor.promotions")
+            c.promotions = value;
+    }
+    return c;
+}
+
 TEST(SupervisedController, RecoveryRepromotesAfterProbation)
 {
+    const LadderCounters before = ladderCounters();
     KnobSpace knobs(false);
     LoopSupervisorConfig sup_cfg;
     sup_cfg.trackingWindow = 10;
@@ -268,6 +290,17 @@ TEST(SupervisedController, RecoveryRepromotesAfterProbation)
     }
     EXPECT_EQ(supervised->tier(), DegradationTier::Nominal);
     EXPECT_GE(supervised->health().repromotions, 1ul);
+
+    // The exported ladder counters equal the controller's own: a
+    // Fallback->Nominal promotion re-initializes the servo but is not
+    // an estimator reset.
+    const ControllerHealth health = supervised->health();
+    supervised.reset(); // publishes its counts
+    const auto published = ladderCounters();
+    EXPECT_EQ(published.estimatorResets - before.estimatorResets,
+              health.estimatorResets);
+    EXPECT_EQ(published.promotions - before.promotions,
+              health.repromotions);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
  * Concurrent-write correctness for the telemetry layer: many threads
- * hammering shared counters, histograms, the registry's registration
- * path, and the trace buffer's slot-claim. Exactness is asserted
- * (relaxed atomics lose nothing), and the same tests run under ASan
- * and TSan copies (see CMakeLists.txt) to catch races and lifetime
- * bugs the assertions can't.
+ * publishing to shared registry names at once, racing to create them,
+ * timing spans into histograms they own, and claiming trace buffer
+ * slots. Exactness is asserted (the registry's mutex loses nothing),
+ * and the same tests run under ASan and TSan copies (see
+ * CMakeLists.txt) to catch races and lifetime bugs the assertions
+ * can't.
  */
 
 #include <gtest/gtest.h>
@@ -38,57 +39,70 @@ runThreads(const std::function<void(unsigned)> &body)
 
 TEST(TelemetryConcurrency, CounterAddsAreExact)
 {
-    Counter c;
+    // Every thread publishes to one counter name at once.
+    Registry reg;
     runThreads([&](unsigned) {
         for (uint64_t i = 0; i < kOpsPerThread; ++i)
-            c.add(1);
+            reg.add("shared", 1);
     });
-    EXPECT_EQ(c.value(), uint64_t{kThreads} * kOpsPerThread);
+    EXPECT_EQ(reg.counters().at("shared"), uint64_t{kThreads} * kOpsPerThread);
 }
 
 TEST(TelemetryConcurrency, HistogramRecordsAreExact)
 {
-    Histogram h;
+    // Every thread records into a histogram of its own and merges it
+    // into one name a batch at a time, while the others do the same.
+    Registry reg;
+    constexpr uint64_t kBatch = 500;
     runThreads([&](unsigned t) {
-        for (uint64_t i = 0; i < kOpsPerThread; ++i)
+        Histogram h;
+        for (uint64_t i = 0; i < kOpsPerThread; ++i) {
             h.record(t * kOpsPerThread + i);
+            if ((i + 1) % kBatch == 0) {
+                reg.merge("shared", h);
+                h = Histogram{};
+            }
+        }
     });
-    const HistogramSnapshot s = h.snapshot();
+    const Histogram s = reg.histograms().at("shared");
     const uint64_t n = uint64_t{kThreads} * kOpsPerThread;
     EXPECT_EQ(s.count, n);
     EXPECT_EQ(s.sum, n * (n - 1) / 2); // sum of 0..n-1
     EXPECT_EQ(s.min, 0u);
     EXPECT_EQ(s.max, n - 1);
     uint64_t bucket_total = 0;
-    for (size_t i = 0; i < HistogramSnapshot::kBuckets; ++i)
+    for (size_t i = 0; i < Histogram::kBuckets; ++i)
         bucket_total += s.buckets[i];
     EXPECT_EQ(bucket_total, n);
 }
 
 TEST(TelemetryConcurrency, RegistryRegistrationRaces)
 {
-    // All threads race to register overlapping names while recording;
-    // idempotence must hold (one metric per name, nothing lost).
+    // All threads race to create overlapping names while publishing;
+    // there must be one metric per name and nothing lost.
     Registry reg;
     runThreads([&](unsigned) {
         for (int i = 0; i < 2000; ++i) {
-            reg.counter("shared").add(1);
-            reg.counter("c" + std::to_string(i % 10)).add(1);
-            reg.histogram("h" + std::to_string(i % 5))
-                .record(static_cast<uint64_t>(i));
+            reg.add("shared", 1);
+            reg.add("c" + std::to_string(i % 10), 1);
+            Histogram h;
+            h.record(static_cast<uint64_t>(i));
+            reg.merge("h" + std::to_string(i % 5), h);
         }
     });
-    EXPECT_EQ(reg.counter("shared").value(), uint64_t{kThreads} * 2000);
     const auto counters = reg.counters();
+    EXPECT_EQ(counters.at("shared"), uint64_t{kThreads} * 2000);
     ASSERT_EQ(counters.size(), 11u); // "shared" + c0..c9
     uint64_t named_total = 0;
     for (const auto &[name, value] : counters)
         if (name != "shared")
             named_total += value;
     EXPECT_EQ(named_total, uint64_t{kThreads} * 2000);
+    const auto histograms = reg.histograms();
+    ASSERT_EQ(histograms.size(), 5u);
     uint64_t hist_total = 0;
-    for (const auto &[name, snap] : reg.histograms())
-        hist_total += snap.count;
+    for (const auto &[name, h] : histograms)
+        hist_total += h.count;
     EXPECT_EQ(hist_total, uint64_t{kThreads} * 2000);
 }
 
@@ -123,15 +137,19 @@ TEST(TelemetryConcurrency, TraceSlotClaimLosesNothing)
 
 TEST(TelemetryConcurrency, SpansFromManyThreads)
 {
+    // Each thread times into a latency histogram of its own.
     TraceBuffer &tb = trace();
     tb.start(1 << 16);
-    Histogram lat;
-    runThreads([&](unsigned) {
+    std::vector<Histogram> lat(kThreads);
+    runThreads([&](unsigned t) {
         for (int i = 0; i < 500; ++i)
-            Span span("work", "test", &lat, "i", i);
+            Span span("work", "test", &lat[t], "i", i);
     });
     tb.stop();
-    EXPECT_EQ(lat.snapshot().count, uint64_t{kThreads} * 500);
+    Histogram total;
+    for (const Histogram &h : lat)
+        total.merge(h);
+    EXPECT_EQ(total.count, uint64_t{kThreads} * 500);
     EXPECT_EQ(tb.size(), uint64_t{kThreads} * 500);
     EXPECT_EQ(tb.dropped(), 0u);
     tb.clear();

@@ -52,19 +52,27 @@ fillTraceBuffer(TraceBuffer &tb)
     tb.stop();
 }
 
+/** The histogram fillRegistry publishes as loop.epoch_ns. */
+Histogram
+epochNs()
+{
+    Histogram h;
+    h.record(0);
+    h.record(1);
+    h.record(1000);
+    h.record(43210987);
+    return h;
+}
+
 /** A registry with every metric kind and edge values the formatter
  *  must render stably (zero counter, empty histogram, zero sample). */
 void
 fillRegistry(Registry &reg)
 {
-    reg.counter("loop.epochs").add(1200);
-    reg.counter("zero.counter");
-    Histogram &h = reg.histogram("loop.epoch_ns");
-    h.record(0);
-    h.record(1);
-    h.record(1000);
-    h.record(43210987);
-    reg.histogram("empty.histogram");
+    reg.add("loop.epochs", 1200);
+    reg.add("zero.counter", 0);
+    reg.merge("loop.epoch_ns", epochNs());
+    reg.merge("empty.histogram", Histogram{});
 }
 
 std::string
@@ -121,17 +129,15 @@ TEST(ExporterGolden, RenderingIsDeterministic)
     fillRegistry(rb);
     EXPECT_EQ(renderMetricsJson(ra), renderMetricsJson(rb));
 
-    // Registration order must not leak into the output: build one
-    // registry in reverse and compare.
+    // Publish order must not leak into the output: build one registry
+    // in reverse, in several publishes, and compare.
     Registry rc;
-    rc.histogram("empty.histogram");
-    Histogram &h = rc.histogram("loop.epoch_ns");
-    rc.counter("zero.counter");
-    rc.counter("loop.epochs").add(1200);
-    h.record(0);
-    h.record(1);
-    h.record(1000);
-    h.record(43210987);
+    rc.merge("empty.histogram", Histogram{});
+    rc.merge("loop.epoch_ns", Histogram{});
+    rc.add("zero.counter", 0);
+    rc.add("loop.epochs", 200);
+    rc.add("loop.epochs", 1000);
+    rc.merge("loop.epoch_ns", epochNs());
     EXPECT_EQ(renderMetricsJson(rc), renderMetricsJson(ra));
 }
 

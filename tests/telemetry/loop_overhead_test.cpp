@@ -2,9 +2,11 @@
  * @file
  * The epoch loop's instrumentation (EpochDriver::stepEpoch):
  *
- *   - what it records: the loop counters on every epoch, the latency
+ *   - what it records: the loop counters for every epoch, the latency
  *     and error histograms and the per-epoch trace events only while
  *     the trace buffer is armed;
+ *   - when it publishes: at finish(), or on destruction for a run
+ *     that was canceled;
  *   - that it only observes: an armed and a disarmed run digest equal;
  *   - the cycle-level plant's stream counters: one rewind per phase
  *     boundary, and waits only when the ring ran empty;
@@ -23,6 +25,7 @@
 #include <string>
 #include <utility>
 
+#include "common/cancel.hpp"
 #include "core/controllers.hpp"
 #include "core/harness.hpp"
 #include "telemetry/export.hpp"
@@ -119,7 +122,7 @@ stubLoopSeconds(size_t epochs)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/** The loop metrics one cycle-level driver records into. */
+/** The loop metrics one cycle-level driver publishes to. */
 struct LoopCounts
 {
     uint64_t epochs = 0;
@@ -128,15 +131,32 @@ struct LoopCounts
     uint64_t powerErr = 0;
 };
 
+/** The registry's value of counter @p name (0 before its first publish). */
+uint64_t
+counterValue(const char *name)
+{
+    const auto counters = telemetry::registry().counters();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+}
+
+/** The sample count of histogram @p name (0 before its first publish). */
+uint64_t
+histogramCount(const char *name)
+{
+    const auto histograms = telemetry::registry().histograms();
+    const auto it = histograms.find(name);
+    return it == histograms.end() ? 0 : it->second.count;
+}
+
 LoopCounts
 loopCounts()
 {
-    telemetry::Registry &reg = telemetry::registry();
     LoopCounts c;
-    c.epochs = reg.counter("loop.epochs").value();
-    c.epochNs = reg.histogram("loop.epoch_ns").snapshot().count;
-    c.ipsErr = reg.histogram("loop.ips_err_bp").snapshot().count;
-    c.powerErr = reg.histogram("loop.power_err_bp").snapshot().count;
+    c.epochs = counterValue("loop.epochs");
+    c.epochNs = histogramCount("loop.epoch_ns");
+    c.ipsErr = histogramCount("loop.ips_err_bp");
+    c.powerErr = histogramCount("loop.power_err_bp");
     return c;
 }
 
@@ -183,6 +203,54 @@ TEST(EpochInstrumentation, ArmedRunRecordsEveryEpoch)
     telemetry::trace().clear();
 }
 
+/** A ConstantPlant that cancels a token during its @p at-th step. */
+class CancelingPlant : public ConstantPlant
+{
+  public:
+    CancelingPlant(CancellationToken &token, size_t at)
+        : token_(token), at_(at)
+    {}
+
+    const Matrix &
+    step(const KnobSettings &settings) override
+    {
+        if (++steps_ == at_)
+            token_.requestCancel();
+        return ConstantPlant::step(settings);
+    }
+
+  private:
+    CancellationToken &token_;
+    size_t at_;
+    size_t steps_ = 0;
+};
+
+TEST(EpochInstrumentation, CanceledRunPublishesItsEpochsOnDestruction)
+{
+    // The plant cancels the token inside epoch kCanceledAt - 1, so the
+    // driver's poll at the top of epoch kCanceledAt unwinds the run
+    // after exactly kCanceledAt epochs. finish() never runs; the
+    // driver publishes when it is destroyed.
+    constexpr size_t kWarmup = 10;
+    constexpr size_t kCanceledAt = 37;
+    ASSERT_FALSE(telemetry::trace().enabled());
+    const LoopCounts before = loopCounts();
+    CancellationToken token;
+    CancelingPlant plant(token, kWarmup + kCanceledAt);
+    HoldingController ctrl;
+    DriverConfig dcfg;
+    dcfg.epochs = 100;
+    dcfg.warmupEpochs = kWarmup;
+    dcfg.cancel = &token;
+    {
+        EpochDriver driver(plant, ctrl, dcfg);
+        EXPECT_THROW(driver.run(KnobSettings{}), CanceledError);
+        EXPECT_EQ(loopCounts().epochs, before.epochs)
+            << "a live driver published before its run ended";
+    }
+    EXPECT_EQ(loopCounts().epochs - before.epochs, kCanceledAt);
+}
+
 constexpr size_t kSimEpochs = 200;
 
 /** Digests of one short cycle-level run under the holding controller. */
@@ -219,24 +287,27 @@ TEST(EpochInstrumentation, SimPlantCountsStreamWaitsAndRewinds)
     AppSpec app = Spec2006Suite::byName("namd");
     for (PhaseSpec &p : app.phases)
         p.lengthEpochs = 50;
-    telemetry::Registry &reg = telemetry::registry();
-    const uint64_t waits0 = reg.counter("stream.waits").value();
-    const uint64_t wait_ns0 = reg.counter("stream.wait_ns").value();
-    const uint64_t rewinds0 = reg.counter("stream.rewinds").value();
-    SimPlant plant(app, KnobSpace(false));
-    for (int i = 0; i < 200; ++i)
-        (void)plant.step(KnobSettings{});
-    const uint64_t waits = reg.counter("stream.waits").value() - waits0;
-    const uint64_t wait_ns =
-        reg.counter("stream.wait_ns").value() - wait_ns0;
-    EXPECT_EQ(reg.counter("stream.rewinds").value() - rewinds0, 4u);
+    const uint64_t waits0 = counterValue("stream.waits");
+    const uint64_t wait_ns0 = counterValue("stream.wait_ns");
+    const uint64_t rewinds0 = counterValue("stream.rewinds");
+    uint64_t ops = 0;
+    {
+        SimPlant plant(app, KnobSpace(false));
+        for (int i = 0; i < 200; ++i)
+            (void)plant.step(KnobSettings{});
+        ops = plant.processor().core().counters().fetched;
+    }
+    // The stream published its counts when the plant was destroyed.
+    const uint64_t waits = counterValue("stream.waits") - waits0;
+    const uint64_t wait_ns = counterValue("stream.wait_ns") - wait_ns0;
+    EXPECT_EQ(counterValue("stream.rewinds") - rewinds0, 4u);
     // At most one wait per chunk the core took, each at least 1 ns long.
-    const uint64_t ops = plant.processor().core().counters().fetched;
     EXPECT_LE(waits, ops / RunAheadStream::kChunkOps + 5);
     EXPECT_GE(wait_ns, waits);
     EXPECT_EQ(waits == 0, wait_ns == 0);
     // The metrics sidecar of a --telemetry run carries all three.
-    const std::string metrics = telemetry::renderMetricsJson(reg);
+    const std::string metrics =
+        telemetry::renderMetricsJson(telemetry::registry());
     for (const char *name :
          {"\"stream.waits\"", "\"stream.wait_ns\"", "\"stream.rewinds\""})
         EXPECT_NE(metrics.find(name), std::string::npos) << name;
